@@ -16,20 +16,17 @@ Core surface:
 """
 
 from .bounds import (
-    CoefficientSet,
     EvalParams,
     coef_a1,
     coef_a1_oracle,
     coef_b,
     coef_weighted,
-    corollary_bound,
     identity_rhs,
     printed_coefficient,
     s_functional,
     theorem1_bound,
     theorem2_bound,
 )
-from .coefquad import available_backends, backend_name, set_backend
 from .convexity import ConvexityWitness, PhiKernel, check_phi_convex, phi_eval
 from .errors import (
     DivergenceError,
@@ -42,7 +39,7 @@ from .errors import (
 )
 from .fracint import Interval, rl_left, rl_right
 from .functions import TestFunction, registry, resolve_function
-from .quadrature import QuadratureSpec, QuadResult, integrate, integrate_kinked_abs
+from .quadrature import QuadratureSpec, QuadResult, integrate
 from .specfun import SpecFunResult, beta_fn, gamma, gauss_2f1, incomplete_beta
 
 __version__ = "0.1.0"

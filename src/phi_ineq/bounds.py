@@ -27,11 +27,11 @@ checks at lam in {0, 1} -- and never feed a bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .coefquad import coef_integral
-from .convexity import KIND_CONSTANT, KIND_MT, KIND_POWER, PhiKernel
+from .convexity import KIND_CONSTANT, KIND_MT, KIND_POWER
 from .errors import DomainError
 from .fracint import Interval, rl_left, rl_right
 from .quadrature import QuadratureSpec, integrate
@@ -97,20 +97,6 @@ class EvalParams:
         if self.q <= 1.0:
             raise DomainError("p is undefined for q = 1 (Holder bound needs q > 1)")
         return self.q / (self.q - 1.0)
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Oracle coefficient values at one parameter point, with residuals
-    against whatever printed closed forms are defined there."""
-
-    a1: float
-    a2: float
-    a3: float
-    a4: float | None = None
-    a5: float | None = None
-    b_coef: float | None = None
-    oracle_residuals: dict = field(default_factory=dict)
 
 
 def _coef_tols(quad_tol):
@@ -235,9 +221,8 @@ def weight_moment(kernel, *, quad_tol=1e-12):
 
 
 def weight_moment_closed(kernel):
-    """Reference value of M for the built-in kernels (None for tables)."""
-    fn = _WEIGHT_MOMENT_CLOSED.get(kernel.kind)
-    return fn(kernel) if fn is not None else None
+    """Reference value of M for the built-in kernels."""
+    return _WEIGHT_MOMENT_CLOSED[kernel.kind](kernel)
 
 
 def theorem1_bound(fn, params, kernel, *, quad_tol=1e-12):
@@ -285,30 +270,6 @@ def theorem2_bound(fn, params, kernel, *, quad_tol=1e-12):
     term_a = (x - a) ** (alpha + 2.0) / w * ((fx + fa) * m) ** (1.0 / q)
     term_b = (b - x) ** (alpha + 2.0) / w * ((fx + fb) * m) ** (1.0 / q)
     return b_val ** (1.0 / p) * (term_a + term_b)
-
-
-_COROLLARY_DELEGATION = {
-    "C1_phi1": (theorem1_bound, KIND_CONSTANT),
-    "C3_powers": (theorem1_bound, KIND_POWER),
-    "C4_phi1_holder": (theorem2_bound, KIND_CONSTANT),
-    "C6_powers_holder": (theorem2_bound, KIND_POWER),
-}
-
-
-def corollary_bound(which, fn, params, *, quad_tol=1e-12):
-    """Named kernel presets of the two bounds: C1_phi1 / C4_phi1_holder
-    fix phi = 1, C3_powers / C6_powers_holder fix phi = t**(s-1) with s
-    from params."""
-    if which not in _COROLLARY_DELEGATION:
-        raise DomainError(f"unknown corollary preset {which!r}")
-    bound, kind = _COROLLARY_DELEGATION[which]
-    if kind == KIND_POWER:
-        if params.s is None:
-            raise DomainError(f"{which} requires params.s")
-        kernel = PhiKernel.power(params.s)
-    else:
-        kernel = PhiKernel.constant()
-    return bound(fn, params, kernel, quad_tol=quad_tol)
 
 
 def _incomplete_beta_term(upper, x, y):
@@ -398,27 +359,3 @@ def printed_coefficient(name, params):
     v1, e1, m1 = c1_part()
     v2, e2, m2 = c2_part()
     return SpecFunResult(v1 + v2, e1 + e2, dominant_method(m1, m2))
-
-
-def collect_coefficients(params, kernel, *, quad_tol=1e-12):
-    """Oracle coefficient values at one point plus residuals against the
-    printed forms that are defined there."""
-    alpha, lam = params.alpha, params.lam
-    a1 = coef_a1(alpha, lam)
-    a2 = coef_weighted(alpha, lam, kernel, "A2", quad_tol=quad_tol)
-    a3 = coef_weighted(alpha, lam, kernel, "A3", quad_tol=quad_tol)
-    residuals = {"A1": abs(a1 - coef_a1_oracle(alpha, lam, quad_tol=quad_tol))}
-    a4 = a5 = b_val = None
-    if kernel.kind == KIND_CONSTANT:
-        residuals["A2C"] = abs(printed_coefficient("A2C", params).value - a2)
-        residuals["A3C"] = abs(printed_coefficient("A3C", params).value - a3)
-    if params.s is not None:
-        power = PhiKernel.power(params.s)
-        a4 = coef_weighted(alpha, lam, power, "A2", quad_tol=quad_tol)
-        a5 = coef_weighted(alpha, lam, power, "A3", quad_tol=quad_tol)
-        residuals["A4"] = abs(printed_coefficient("A4", params).value - a4)
-        residuals["A5"] = abs(printed_coefficient("A5", params).value - a5)
-    if params.q > 1.0 or params.p is not None:
-        b_val = coef_b(alpha, lam, params.conjugate_p(), quad_tol=quad_tol)
-    return CoefficientSet(a1=a1, a2=a2, a3=a3, a4=a4, a5=a5, b_coef=b_val,
-                          oracle_residuals=residuals)

@@ -1,5 +1,4 @@
-"""Coefficient-integral backend: compiled extension when available, pure
-Python otherwise.
+"""Coefficient-family integrals on the adaptive Gauss-Kronrod engine.
 
 Every bound coefficient is an integral over (a sub-range of) [0, 1] of
 one of five integrand families built from ``base(t) = t*(lam - t**alpha)``:
@@ -10,74 +9,50 @@ one of five integrand families built from ``base(t) = t*(lam - t**alpha)``:
     B:   |base(t)| ** p
     M:   t * phi(t)
 
-These are the hot kernels of the package -- parameter sweeps and the
-discrepancy ledger evaluate thousands of them -- so they have a Cython
-implementation (:mod:`phi_ineq._fastcoef`) mirroring the Python engine's
-panel policy exactly.  The backend is chosen at import time; tests and
-benchmarks can force one with :func:`set_backend`.  Table kernels always
-take the pure path (the compiled core only knows the closed-form phi's).
+Each family is handed to :func:`phi_ineq.quadrature.integrate` with the
+kink of ``|base|`` at ``lam**(1/alpha)`` as a split point and the MT
+kernel's inverse-square-root endpoint declared, so the adaptive loop never
+has to discover either.  Parameter sweeps and the discrepancy ledger ask
+for a few hundred distinct integrals tens of thousands of times, so values
+are cached per distinct argument tuple.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
-from . import _coef_pure
-from .convexity import KIND_CONSTANT, KIND_MT, KIND_POWER, KIND_TABLE
+from .convexity import KIND_CONSTANT, KIND_MT, KIND_POWER
 from .errors import DomainError
-from .quadrature import build_segments
-
-try:
-    from . import _fastcoef
-except ImportError:
-    _fastcoef = None
+from .quadrature import QuadratureSpec, integrate
 
 FAMILIES = ("A1", "A2", "A3", "B", "M")
-_FAMILY_ID = {name: i for i, name in enumerate(FAMILIES)}
-_KERNEL_ID = {KIND_CONSTANT: 0, KIND_POWER: 1, KIND_MT: 2}
-
-_active_backend = "compiled" if _fastcoef is not None else "pure"
 
 
-def available_backends():
-    return ("compiled", "pure") if _fastcoef is not None else ("pure",)
+def _phi_factory(kernel):
+    if kernel is None or kernel.kind == KIND_CONSTANT:
+        return lambda t: 1.0
+    if kernel.kind == KIND_POWER:
+        s = kernel.s
+        return lambda t: t ** (s - 1.0)
+    return lambda t: 0.5 / (math.sqrt(t) * math.sqrt(1.0 - t))  # MT
 
 
-def backend_name():
-    return _active_backend
-
-
-def set_backend(name):
-    """Force a backend; returns the previously active one."""
-    global _active_backend
-    if name not in available_backends():
-        raise DomainError(f"backend {name!r} not available (have {available_backends()})")
-    previous = _active_backend
-    _active_backend = name
-    coef_integral.cache_clear()
-    return previous
-
-
-def layout(family, alpha, lam, kernel, lo, hi):
-    """Kink splits and declared endpoint exponents for a family integral.
-    Shared by both backends so they integrate the identical panel layout."""
-    splits = []
-    if family != "M" and 0.0 < lam < 1.0:
-        kink = lam ** (1.0 / alpha)
-        if lo < kink < hi:
-            splits.append(kink)
-    left_e = 0.0
-    right_e = 0.0
-    if kernel is not None and kernel.kind == KIND_MT:
-        if family == "A3" and lo == 0.0:
-            left_e = -0.5
-        if family in ("A2", "M") and hi == 1.0:
-            right_e = -0.5
-    return tuple(splits), left_e, right_e
+def _integrand(family, alpha, lam, kernel, p):
+    phi = _phi_factory(kernel)
+    if family == "A1":
+        return lambda t: abs(t * (lam - t ** alpha))
+    if family == "A2":
+        return lambda t: abs(t * (lam - t ** alpha)) * t * phi(t)
+    if family == "A3":
+        return lambda t: abs(t * (lam - t ** alpha)) * (1.0 - t) * phi(1.0 - t)
+    if family == "B":
+        return lambda t: abs(t * (lam - t ** alpha)) ** p
+    return lambda t: t * phi(t)  # M
 
 
 def _validate(family, alpha, lam, kernel, p, lo, hi):
-    if family not in _FAMILY_ID:
+    if family not in FAMILIES:
         raise DomainError(f"unknown coefficient family {family!r}")
     if not alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
@@ -92,31 +67,28 @@ def _validate(family, alpha, lam, kernel, p, lo, hi):
 
 
 @lru_cache(maxsize=16384)
-def _cached(backend, family, alpha, lam, kernel, p, lo, hi, abs_tol, rel_tol, max_subdivisions):
-    return _dispatch(backend, family, alpha, lam, kernel, p, lo, hi,
-                     abs_tol, rel_tol, max_subdivisions)
-
-
-def _dispatch(backend, family, alpha, lam, kernel, p, lo, hi, abs_tol, rel_tol, max_subdivisions):
-    splits, left_e, right_e = layout(family, alpha, lam, kernel, lo, hi)
-    use_compiled = (
-        backend == "compiled"
-        and _fastcoef is not None
-        and (kernel is None or kernel.kind != KIND_TABLE)
+def _cached(family, alpha, lam, kernel, p, lo, hi, abs_tol, rel_tol, max_subdivisions):
+    splits = []
+    if family != "M" and 0.0 < lam < 1.0:
+        kink = lam ** (1.0 / alpha)
+        if lo < kink < hi:
+            splits.append(kink)
+    left_e = 0.0
+    right_e = 0.0
+    if kernel is not None and kernel.kind == KIND_MT:
+        if family == "A3" and lo == 0.0:
+            left_e = -0.5
+        if family in ("A2", "M") and hi == 1.0:
+            right_e = -0.5
+    spec = QuadratureSpec(
+        abs_tol=abs_tol,
+        rel_tol=rel_tol,
+        max_subdivisions=max_subdivisions,
+        split_points=tuple(splits),
+        left_exponent=left_e,
+        right_exponent=right_e,
     )
-    if use_compiled:
-        segments = build_segments(lo, hi, splits, left_e, right_e)
-        segs = tuple((s.u_lo, s.u_hi, s.mode, s.kappa, s.anchor) for s in segments)
-        kid = _KERNEL_ID[kernel.kind] if kernel is not None else 0
-        s = kernel.s if (kernel is not None and kernel.kind == KIND_POWER) else 1.0
-        return _fastcoef.integrate_segments(
-            _FAMILY_ID[family], alpha, lam, kid, s, p, segs,
-            abs_tol, rel_tol, max_subdivisions,
-        )
-    return _coef_pure.integrate_family(
-        family, alpha, lam, kernel, p, lo, hi,
-        splits, left_e, right_e, abs_tol, rel_tol, max_subdivisions,
-    )
+    return integrate(_integrand(family, alpha, lam, kernel, p), lo, hi, spec).value
 
 
 def coef_integral(family, alpha, lam, kernel=None, *, p=1.0, lo=0.0, hi=1.0,
@@ -128,18 +100,5 @@ def coef_integral(family, alpha, lam, kernel=None, *, p=1.0, lo=0.0, hi=1.0,
     lo = float(lo)
     hi = float(hi)
     _validate(family, alpha, lam, kernel, p, lo, hi)
-    return _cached(_active_backend, family, alpha, lam, kernel, p, lo, hi,
+    return _cached(family, alpha, lam, kernel, p, lo, hi,
                    float(abs_tol), float(rel_tol), int(max_subdivisions))
-
-
-coef_integral.cache_clear = _cached.cache_clear
-
-
-def coef_integral_uncached(family, alpha, lam, kernel=None, *, p=1.0, lo=0.0, hi=1.0,
-                           abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=2000,
-                           backend=None):
-    """Uncached variant used by the backend benchmark and agreement tests."""
-    _validate(family, float(alpha), float(lam), kernel, float(p), float(lo), float(hi))
-    return _dispatch(backend or _active_backend, family, float(alpha), float(lam),
-                     kernel, float(p), float(lo), float(hi),
-                     float(abs_tol), float(rel_tol), int(max_subdivisions))

@@ -6,9 +6,8 @@
 For alpha < 1 the kernel has an integrable algebraic singularity at the
 evaluation point; it is declared to the quadrature engine, which removes
 it by substitution.  At alpha = 1 both operators reduce to the plain
-integral.  The order-zero convention J^0 f = f is available only through
-the explicit ``zero_order_identity`` flag; bound formulas always assume
-alpha > 0.
+integral.  The order must be positive: the order-zero convention J^0 f = f
+is not supported, and no bound formula needs it.
 
 The interval endpoints may be any finite reals with a < b; nonnegativity
 of ``a`` is not required by any formula in this package.
@@ -63,13 +62,11 @@ def _kernel_weighted(f_shifted, length, alpha, quad_tol):
     return res.value / gamma(alpha)
 
 
-def rl_left(f, a, alpha, x, *, quad_tol=1e-12, zero_order_identity=False):
+def rl_left(f, a, alpha, x, *, quad_tol=1e-12):
     """Left fractional integral of order alpha evaluated at x > a."""
     a = float(a)
     x = float(x)
     alpha = float(alpha)
-    if zero_order_identity and alpha == 0.0:
-        return f(x)
     if not alpha > 0.0:
         raise DomainError(f"fractional order must be positive, got {alpha}")
     if not x > a:
@@ -77,13 +74,11 @@ def rl_left(f, a, alpha, x, *, quad_tol=1e-12, zero_order_identity=False):
     return _kernel_weighted(lambda tau: f(x - tau), x - a, alpha, quad_tol)
 
 
-def rl_right(f, b, alpha, x, *, quad_tol=1e-12, zero_order_identity=False):
+def rl_right(f, b, alpha, x, *, quad_tol=1e-12):
     """Right fractional integral of order alpha evaluated at x < b."""
     b = float(b)
     x = float(x)
     alpha = float(alpha)
-    if zero_order_identity and alpha == 0.0:
-        return f(x)
     if not alpha > 0.0:
         raise DomainError(f"fractional order must be positive, got {alpha}")
     if not x < b:

@@ -106,8 +106,7 @@ class Segment:
 
 def build_segments(lo, hi, split_points, left_exponent, right_exponent):
     """Partition [lo, hi] at the split points and attach the power
-    substitution to singular ends.  Shared by the Python engine and the
-    compiled coefficient backend so both integrate the identical layout."""
+    substitution to singular ends."""
     splits = sorted(set(float(p) for p in split_points))
     for p in splits:
         if not (lo < p < hi):
@@ -233,26 +232,3 @@ def integrate(f, lo, hi, spec=None):
         panels.append([e2, seq, g, mid, b, v2])
         seq += 1
         n_bisect += 1
-
-
-def integrate_kinked_abs(base, kink, spec=None):
-    """Integrate ``|base(t)|`` over [0, 1], splitting at the sign-change
-    point ``kink``.  A kink at (or clamped to) an endpoint degenerates to
-    an unsplit integral."""
-    if spec is None:
-        spec = QuadratureSpec()
-    kink = float(kink)
-    if not 0.0 <= kink <= 1.0:
-        raise DomainError(f"kink {kink} outside [0, 1]")
-    splits = set(spec.split_points)
-    if 0.0 < kink < 1.0:
-        splits.add(kink)
-    eff = QuadratureSpec(
-        abs_tol=spec.abs_tol,
-        rel_tol=spec.rel_tol,
-        max_subdivisions=spec.max_subdivisions,
-        split_points=tuple(sorted(splits)),
-        left_exponent=spec.left_exponent,
-        right_exponent=spec.right_exponent,
-    )
-    return integrate(lambda t: abs(base(t)), 0.0, 1.0, eff)

@@ -14,8 +14,6 @@ from phi_ineq.bounds import (
     coef_b,
     coef_c_oracle,
     coef_weighted,
-    collect_coefficients,
-    corollary_bound,
     identity_rhs,
     printed_coefficient,
     s_functional,
@@ -212,28 +210,6 @@ class TestTheorem2:
             theorem2_bound(fn, p, CONST), abs=1e-12)
 
 
-class TestCorollaryPresets:
-    def test_delegation_identities(self):
-        fn3 = registry()["t^3"]
-        p1 = params()
-        assert corollary_bound("C1_phi1", fn3, p1) == theorem1_bound(fn3, p1, CONST)
-        fn2 = registry()["t^2"]
-        p2 = params(q=2.0, p=2.0)
-        assert corollary_bound("C4_phi1_holder", fn2, p2) == theorem2_bound(fn2, p2, CONST)
-
-    def test_power_s_one_equals_constant_preset(self):
-        fn = registry()["t^2"]
-        p = params(q=2.0, p=2.0, s=1.0)
-        assert corollary_bound("C6_powers_holder", fn, p) == pytest.approx(
-            corollary_bound("C4_phi1_holder", fn, p), abs=1e-13)
-
-    def test_requires_s(self):
-        with pytest.raises(DomainError):
-            corollary_bound("C3_powers", registry()["t^2"], params())
-        with pytest.raises(DomainError):
-            corollary_bound("nonsense", registry()["t^2"], params())
-
-
 class TestPrintedCoefficients:
     def test_a2c_agrees_with_oracle(self):
         r = printed_coefficient("A2C", params(lam=1.0))
@@ -289,15 +265,3 @@ class TestPrintedCoefficients:
             printed_coefficient("C1", params())  # q = 1, no p
         with pytest.raises(DomainError):
             printed_coefficient("A7", params())
-
-
-def test_collect_coefficients():
-    cs = collect_coefficients(params(lam=1.0, s=1.0, q=2.0, p=2.0), CONST)
-    assert cs.a1 == pytest.approx(1.0 / 6.0, abs=1e-12)
-    assert cs.a2 == pytest.approx(1.0 / 12.0, abs=1e-12)
-    assert cs.a3 == pytest.approx(1.0 / 12.0, abs=1e-12)
-    assert cs.a4 == pytest.approx(1.0 / 12.0, abs=1e-10)
-    assert cs.b_coef == pytest.approx(1.0 / 30.0, abs=1e-10)
-    assert cs.oracle_residuals["A2C"] < 1e-10
-    assert cs.oracle_residuals["A3C"] == pytest.approx(1.0 / 6.0, abs=1e-9)
-    assert cs.oracle_residuals["A4"] == pytest.approx(1.0 / 3.0, abs=1e-9)

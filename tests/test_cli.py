@@ -184,3 +184,15 @@ class TestExitCodes:
         assert code == 0
         out = capsys.readouterr().out
         assert "HYPOTHESIS_UNMET" in out
+
+
+def test_convexity_gate_tolerance_scales_with_function(capsys):
+    # |f''|^3 reaches 1.6e6 on this grid; its worst sampled violation is
+    # 1.05e-9 of rounding, which an absolute 1e-9 tolerance misread as a
+    # failed hypothesis
+    code = main(["verify", "--fn=2.43*t^4 - 1.7*t", "--a", "0.303", "--b", "2.002",
+                 "--preset", "c5", "--alpha", "2.544", "--q", "3"])
+    assert code == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 3
+    assert all(row.endswith(",true,PASS") for row in rows)

@@ -32,21 +32,6 @@ def test_kernel_validation():
         PhiKernel.power(1.5)
     with pytest.raises(DomainError):
         PhiKernel("bogus")
-    with pytest.raises(DomainError):
-        PhiKernel.table(((0.5, -1.0), (0.7, 1.0)))
-    with pytest.raises(DomainError):
-        PhiKernel.table(((0.7, 1.0), (0.5, 2.0)))  # unsorted
-
-
-def test_table_kernel_interpolates_samples():
-    samples = tuple((t, 1.0 + t * t) for t in (0.1, 0.3, 0.5, 0.7, 0.9))
-    kernel = PhiKernel.table(samples)
-    for t, v in samples:
-        assert phi_eval(kernel, t) == pytest.approx(v, rel=1e-12)
-    # monotone data gives monotone interpolant between the sample points
-    ts = [0.1 + 0.8 * k / 40.0 for k in range(41)]
-    vals = [phi_eval(kernel, t) for t in ts]
-    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_kernel_labels():

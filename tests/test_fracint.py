@@ -71,12 +71,12 @@ def test_semigroup_property():
             assert got == pytest.approx(want, abs=1e-7)
 
 
-def test_zero_order_identity_flag():
+def test_order_zero_rejected():
     f = lambda t: t * t + 1.0
-    assert rl_left(f, 0.0, 0.0, 0.5, zero_order_identity=True) == f(0.5)
-    assert rl_right(f, 1.0, 0.0, 0.5, zero_order_identity=True) == f(0.5)
     with pytest.raises(DomainError):
         rl_left(f, 0.0, 0.0, 0.5)
+    with pytest.raises(DomainError):
+        rl_right(f, 1.0, 0.0, 0.5)
 
 
 def test_domain_errors():

@@ -13,7 +13,6 @@ from phi_ineq.quadrature import (
     QuadratureSpec,
     build_segments,
     integrate,
-    integrate_kinked_abs,
 )
 
 
@@ -66,14 +65,6 @@ def test_kinked_abs_split():
     res = integrate(lambda t: abs(t * (0.5 - t)), 0.0, 1.0,
                     QuadratureSpec(split_points=(0.5,)))
     assert res.value == pytest.approx(0.125, abs=1e-13)
-
-
-def test_integrate_kinked_abs_examples():
-    assert integrate_kinked_abs(lambda t: t * (0.5 - t), 0.5).value == pytest.approx(0.125, abs=1e-13)
-    assert integrate_kinked_abs(lambda t: t * (1.0 - t), 1.0).value == pytest.approx(1.0 / 6.0, abs=1e-13)
-    for alpha in (1.0, 2.0):
-        got = integrate_kinked_abs(lambda t, a=alpha: t * (0.0 - t ** a), 0.0).value
-        assert got == pytest.approx(1.0 / (alpha + 2.0), abs=1e-13)
 
 
 def test_additivity_on_random_smooth_functions():
@@ -134,8 +125,6 @@ def test_invalid_specs():
         integrate(lambda t: t, 1.0, 0.0)
     with pytest.raises(DomainError):
         integrate(lambda t: t, 0.0, 1.0, QuadratureSpec(split_points=(2.0,)))
-    with pytest.raises(DomainError):
-        integrate_kinked_abs(lambda t: t, 1.5)
 
 
 def test_build_segments_layout():
