@@ -26,12 +26,10 @@ checks at lam in {0, 1} -- and never feed a bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .coefquad import coef_integral
-from .convexity import KIND_CONSTANT, KIND_MT, KIND_POWER
 from .errors import DomainError
 from .fracint import Interval, rl_left, rl_right
 from .quadrature import QuadratureSpec, integrate
@@ -206,23 +204,11 @@ def coef_c_oracle(alpha, lam, p, which, *, quad_tol=1e-12):
     return coef_integral("B", alpha, lam, p=p, lo=m, abs_tol=abs_tol, rel_tol=rel_tol)
 
 
-_WEIGHT_MOMENT_CLOSED = {
-    KIND_CONSTANT: lambda kernel: 0.5,
-    KIND_POWER: lambda kernel: 1.0 / (kernel.s + 1.0),
-    KIND_MT: lambda kernel: math.pi / 4.0,
-}
-
-
 def weight_moment(kernel, *, quad_tol=1e-12):
     """M = int_0^1 t*phi(t) dt, by quadrature (1/2 for the constant
     kernel, 1/(s+1) for t**(s-1), pi/4 for MT)."""
     abs_tol, rel_tol = _coef_tols(quad_tol)
     return coef_integral("M", 1.0, 0.0, kernel, abs_tol=abs_tol, rel_tol=rel_tol)
-
-
-def weight_moment_closed(kernel):
-    """Reference value of M for the built-in kernels."""
-    return _WEIGHT_MOMENT_CLOSED[kernel.kind](kernel)
 
 
 def theorem1_bound(fn, params, kernel, *, quad_tol=1e-12):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .bounds import EvalParams
@@ -95,28 +95,6 @@ def ledger_to_json(entries):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-@dataclass
-class RunConfig:
-    command: str
-    function: str | None = None
-    a: float | None = None
-    b: float | None = None
-    x: float | None = None
-    lam: float | None = None
-    alpha: float = 1.0
-    q: float = 1.0
-    s: float | None = None
-    kernel: PhiKernel | None = None
-    theorem: str = "t1"
-    preset: str | None = None
-    plan: SweepPlan | None = None
-    out: str | None = None
-    fmt: str = "csv"
-    quad_tol: float = 1e-12
-    tol: float = 1e-9
-    inject_bound_scale: float = 1.0
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError([message])
@@ -124,7 +102,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _add_common(parser):
     parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     parser.add_argument("--quad-tol", type=float, default=1e-12,
                         help="base absolute quadrature tolerance")
 
@@ -136,7 +114,7 @@ def _build_parser():
     sub.add_parser("selftest", help="run the full invariant battery")
 
     pv = sub.add_parser("verify", help="verify one parameter point")
-    pv.add_argument("--fn", required=True,
+    pv.add_argument("--fn", dest="function", metavar="FN", required=True,
                     help="registry name (e.g. t^3) or expression (e.g. 2*t^4 - t)")
     pv.add_argument("--a", type=float)
     pv.add_argument("--b", type=float)
@@ -225,75 +203,70 @@ def _plan_from_file(path, violations):
 
 
 def parse_config(argv):
-    """Parse flags (and any config file) into a validated RunConfig;
-    raises UsageError listing every violation."""
+    """Parse flags (and any config file) into a validated namespace;
+    raises UsageError listing every violation.  ``--fn`` is stored as
+    ``function`` and ``--format`` as ``fmt``.  For verify, ``fn`` holds the
+    resolved function and ``kernel`` a PhiKernel; for sweep, ``plan`` holds
+    the SweepPlan."""
     ns = _build_parser().parse_args(argv)
-    violations = []
-    cfg = RunConfig(command=ns.command)
     if ns.command == "selftest":
-        return cfg
-
-    cfg.out = ns.out
-    cfg.fmt = ns.format
-    cfg.quad_tol = ns.quad_tol
-    if not cfg.quad_tol > 0.0:
-        violations.append(f"--quad-tol must be positive, got {cfg.quad_tol}")
-
-    if ns.command == "coeffs":
-        if violations:
-            raise UsageError(violations)
-        return cfg
-
-    cfg.tol = ns.tol
-    cfg.inject_bound_scale = ns.inject_bound_scale
+        return ns
+    violations = []
+    if not ns.quad_tol > 0.0:
+        violations.append(f"--quad-tol must be positive, got {ns.quad_tol}")
 
     if ns.command == "sweep":
         if ns.config is not None:
-            cfg.plan = _plan_from_file(ns.config, violations)
+            ns.plan = _plan_from_file(ns.config, violations)
         else:
-            cfg.plan = default_sweep_plan()
-        if ns.tol is not None and cfg.plan is not None:
+            ns.plan = default_sweep_plan()
+        if ns.tol is not None and ns.plan is not None:
             # command-line flags override config-file values
             if not ns.tol > 0.0:
                 violations.append(f"--tol must be positive, got {ns.tol}")
             else:
-                cfg.plan = replace(cfg.plan, tol=ns.tol)
-        if violations:
-            raise UsageError(violations)
-        return cfg
+                ns.plan = replace(ns.plan, tol=ns.tol)
+    elif ns.command == "verify":
+        _check_verify(ns, violations)
+    if violations:
+        raise UsageError(violations)
+    return ns
 
-    # verify
-    cfg.function = ns.fn
-    cfg.a, cfg.b = ns.a, ns.b
-    cfg.x, cfg.lam = ns.x, ns.lam
-    cfg.alpha, cfg.q, cfg.s = ns.alpha, ns.q, ns.s
-    cfg.theorem = ns.theorem
-    cfg.preset = ns.preset
+
+def _check_verify(ns, violations):
     if ns.kernel == "power":
         if ns.s is None:
             violations.append("--kernel power requires --s")
         else:
             try:
-                cfg.kernel = PhiKernel.power(ns.s)
+                ns.kernel = PhiKernel.power(ns.s)
             except DomainError as exc:
                 violations.append(str(exc))
     else:
-        cfg.kernel = PhiKernel.constant() if ns.kernel == "constant" else PhiKernel.mt()
-    if cfg.a is not None and cfg.b is not None and not cfg.a < cfg.b:
-        violations.append(f"interval needs a < b, got a={cfg.a}, b={cfg.b}")
-    if cfg.lam is not None and not 0.0 <= cfg.lam <= 1.0:
-        violations.append(f"lambda must lie in [0, 1], got {cfg.lam}")
-    if not cfg.alpha > 0.0:
-        violations.append(f"alpha must be positive, got {cfg.alpha}")
-    if not cfg.q >= 1.0:
-        violations.append(f"q must be >= 1, got {cfg.q}")
-    if cfg.s is not None and not 0.0 < cfg.s <= 1.0:
-        violations.append(f"s must lie in (0, 1], got {cfg.s}")
-    if cfg.theorem == "t2" and cfg.q <= 1.0 and cfg.preset is None:
+        ns.kernel = PhiKernel.constant() if ns.kernel == "constant" else PhiKernel.mt()
+    if ns.a is not None and ns.b is not None and not ns.a < ns.b:
+        violations.append(f"interval needs a < b, got a={ns.a}, b={ns.b}")
+    else:
+        try:
+            ns.fn = resolve_function(ns.function, ns.a, ns.b)
+        except DomainError as exc:
+            violations.append(str(exc))
+        else:
+            dom = ns.fn.domain
+            if ns.x is not None and not dom.a <= ns.x <= dom.b:
+                violations.append(f"x must lie in [{dom.a}, {dom.b}], got {ns.x}")
+    if ns.lam is not None and not 0.0 <= ns.lam <= 1.0:
+        violations.append(f"lambda must lie in [0, 1], got {ns.lam}")
+    if not ns.alpha > 0.0:
+        violations.append(f"alpha must be positive, got {ns.alpha}")
+    if not ns.q >= 1.0:
+        violations.append(f"q must be >= 1, got {ns.q}")
+    if ns.s is not None and not 0.0 < ns.s <= 1.0:
+        violations.append(f"s must lie in (0, 1], got {ns.s}")
+    if ns.theorem == "t2" and ns.q <= 1.0 and ns.preset is None:
         violations.append("theorem t2 requires q > 1 (p is derived as q/(q-1))")
-    if violations:
-        raise UsageError(violations)
-    return cfg
+    if not ns.tol > 0.0:
+        violations.append(f"--tol must be positive, got {ns.tol}")
 
 
 def _emit(cfg, text):
@@ -313,7 +286,7 @@ def _reports_exit(reports):
 
 
 def _run_verify(cfg):
-    fn = resolve_function(cfg.function, cfg.a, cfg.b)
+    fn = cfg.fn
     interval = fn.domain
     x = cfg.x if cfg.x is not None else 0.5 * (interval.a + interval.b)
     lam = cfg.lam if cfg.lam is not None else 0.0
@@ -332,7 +305,7 @@ def _run_verify(cfg):
         return reports
 
     if cfg.theorem == "hh":
-        return [hermite_hadamard_check(fn, interval, quad_tol=cfg.quad_tol)]
+        return [hermite_hadamard_check(fn, quad_tol=cfg.quad_tol)]
     params = EvalParams(interval, x=x, lam=lam, alpha=cfg.alpha, q=cfg.q, s=cfg.s)
     if cfg.theorem == "lemma1":
         return [identity_check(fn, params, quad_tol=cfg.quad_tol)]
@@ -343,7 +316,7 @@ def _run_verify(cfg):
 
 
 def execute(config):
-    """Run a validated RunConfig; returns the process exit code."""
+    """Run a config from :func:`parse_config`; returns the process exit code."""
     if config.command == "selftest":
         return run_selftest()
     if config.command == "coeffs":

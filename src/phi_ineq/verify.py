@@ -2,12 +2,17 @@
 identity residual, the classical midpoint/mean/endpoint warm-up check and
 deterministic parameter sweeps.
 
-Every check produces a :class:`BoundReport`.  A report FAILs only when
-the hypothesis gate (phi-convexity of |f''|**q, checked empirically on a
-grid) passed and the bound is still violated beyond tolerance; a point
-whose hypothesis fails is tagged HYPOTHESIS_UNMET and never counts as a
+Every check produces a :class:`BoundReport` carrying only what a verdict
+emits: lhs, rhs, margin, the hypothesis flag and the status (plus the
+warm-up's midpoint/mean/endpoint triple).  Values are builtin floats,
+coerced once where they are computed.  A report FAILs only when the
+hypothesis gate (phi-convexity of |f''|**q, checked empirically on a grid)
+passed and the bound is still violated beyond tolerance; a point whose
+hypothesis fails is tagged HYPOTHESIS_UNMET and never counts as a
 violation.  Before declaring FAIL the point is re-run at 10x tighter
-quadrature tolerance to rule out integration noise.
+quadrature tolerance to rule out integration noise.  A numerical failure
+(PhiIneqError, overflow, division by zero) becomes an ERROR report with
+the failure's message.
 """
 
 from __future__ import annotations
@@ -17,18 +22,13 @@ from functools import lru_cache
 
 from .bounds import (
     EvalParams,
-    coef_a1,
-    coef_a1_oracle,
     identity_rhs,
     s_functional,
     theorem1_bound,
     theorem2_bound,
-    weight_moment,
-    weight_moment_closed,
 )
 from .convexity import KIND_POWER, PhiKernel, check_phi_convex
 from .errors import DomainError, PhiIneqError
-from .fracint import Interval
 from .functions import registry
 from .quadrature import QuadratureSpec, integrate
 
@@ -62,30 +62,29 @@ class BoundReport:
     oracle_residuals: dict = field(default_factory=dict)
     message: str = ""
 
-    def __post_init__(self):
-        # numpy scalars leak in through vectorized test functions; pin every
-        # numeric field to a builtin float so serialized output is uniform
-        for name in ("a", "b", "x", "lam", "alpha", "q", "p", "s", "lhs", "rhs", "margin"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, float(value))
-        object.__setattr__(self, "hypothesis_ok", bool(self.hypothesis_ok))
-        object.__setattr__(
-            self,
-            "oracle_residuals",
-            {k: float(v) for k, v in self.oracle_residuals.items()},
-        )
-
 
 def _sort_key(r):
-    none = float("-inf")
-    return (
-        r.function, r.kernel, r.theorem,
-        r.x if r.x is not None else none,
-        r.lam if r.lam is not None else none,
-        r.alpha if r.alpha is not None else none,
-        r.q if r.q is not None else none,
-    )
+    return (r.function, r.kernel, r.theorem, r.x, r.lam, r.alpha, r.q)
+
+
+def _status(hypothesis_ok, margin, tol):
+    if not hypothesis_ok:
+        return STATUS_HYPOTHESIS
+    return STATUS_PASS if margin >= -tol else STATUS_FAIL
+
+
+def _report(base, check):
+    """The report of ``check()``'s verdict fields, or an ERROR report when
+    the check fails numerically.  ``base`` is read after the check, so a
+    field the check fills in before failing reaches the ERROR report."""
+    try:
+        verdict = check()
+    except (PhiIneqError, OverflowError, ZeroDivisionError) as exc:
+        return BoundReport(
+            **base, lhs=None, rhs=None, margin=None,
+            hypothesis_ok=False, status=STATUS_ERROR, message=str(exc),
+        )
+    return BoundReport(**base, **verdict)
 
 
 @lru_cache(maxsize=512)
@@ -93,11 +92,6 @@ def _hypothesis_witness(fn, q, kernel, interval):
     def g(u):
         return abs(fn.f2(u)) ** q
     return check_phi_convex(g, kernel, interval)
-
-
-@lru_cache(maxsize=512)
-def _convexity_witness(fn, interval):
-    return check_phi_convex(fn.f, PhiKernel.constant(), interval)
 
 
 def _report_s(params, kernel):
@@ -116,48 +110,26 @@ def verify_point(fn, params, kernel, theorem, *, tol=1e-9, quad_tol=1e-12, rhs_s
         a=params.a, b=params.b, x=params.x, lam=params.lam, alpha=params.alpha,
         q=params.q, p=None, s=_report_s(params, kernel),
     )
-    try:
+
+    def check():
         witness = _hypothesis_witness(fn, params.q, kernel, params.interval)
         bound = theorem1_bound if theorem == "T1" else theorem2_bound
         if theorem == "T2":
             base["p"] = params.conjugate_p()
 
         def evaluate(qt):
-            lhs = abs(s_functional(fn, params, quad_tol=qt))
-            rhs = bound(fn, params, kernel, quad_tol=qt) * rhs_scale
+            lhs = float(abs(s_functional(fn, params, quad_tol=qt)))
+            rhs = float(bound(fn, params, kernel, quad_tol=qt) * rhs_scale)
             return lhs, rhs
 
         lhs, rhs = evaluate(quad_tol)
         if witness.holds and rhs - lhs < -tol:
             lhs, rhs = evaluate(quad_tol / 10.0)
-
-        residuals = {
-            "A1_closed_vs_oracle": abs(
-                coef_a1(params.alpha, params.lam)
-                - coef_a1_oracle(params.alpha, params.lam, quad_tol=quad_tol)
-            )
-        }
-        if theorem == "T2":
-            residuals["M_quadrature_vs_closed"] = abs(
-                weight_moment(kernel, quad_tol=quad_tol) - weight_moment_closed(kernel)
-            )
         margin = rhs - lhs
-        if not witness.holds:
-            status = STATUS_HYPOTHESIS
-        elif margin >= -tol:
-            status = STATUS_PASS
-        else:
-            status = STATUS_FAIL
-        return BoundReport(
-            **base, lhs=lhs, rhs=rhs, margin=margin,
-            hypothesis_ok=witness.holds, status=status,
-            oracle_residuals=residuals,
-        )
-    except (PhiIneqError, OverflowError, ZeroDivisionError) as exc:
-        return BoundReport(
-            **base, lhs=None, rhs=None, margin=None,
-            hypothesis_ok=False, status=STATUS_ERROR, message=str(exc),
-        )
+        return dict(lhs=lhs, rhs=rhs, margin=margin, hypothesis_ok=witness.holds,
+                    status=_status(witness.holds, margin, tol))
+
+    return _report(base, check)
 
 
 def identity_check(fn, params, *, quad_tol=1e-12):
@@ -168,58 +140,42 @@ def identity_check(fn, params, *, quad_tol=1e-12):
         a=params.a, b=params.b, x=params.x, lam=params.lam, alpha=params.alpha,
         q=None, p=None, s=None,
     )
-    try:
-        lhs = s_functional(fn, params, quad_tol=quad_tol)
-        rhs = identity_rhs(fn, params, quad_tol=quad_tol)
+
+    def check():
+        lhs = float(s_functional(fn, params, quad_tol=quad_tol))
+        rhs = float(identity_rhs(fn, params, quad_tol=quad_tol))
         resid = abs(lhs - rhs)
         ok = resid <= 1e-8 * max(1.0, abs(lhs))
-        return BoundReport(
-            **base, lhs=lhs, rhs=rhs, margin=resid,
-            hypothesis_ok=True, status=STATUS_PASS if ok else STATUS_FAIL,
-            oracle_residuals={"identity_residual": resid},
-        )
-    except (PhiIneqError, OverflowError, ZeroDivisionError) as exc:
-        return BoundReport(
-            **base, lhs=None, rhs=None, margin=None,
-            hypothesis_ok=False, status=STATUS_ERROR, message=str(exc),
-        )
+        return dict(lhs=lhs, rhs=rhs, margin=resid, hypothesis_ok=True,
+                    status=STATUS_PASS if ok else STATUS_FAIL)
+
+    return _report(base, check)
 
 
-def hermite_hadamard_check(fn, interval=None, *, tol=1e-10, quad_tol=1e-12):
-    """Classical Hermite-Hadamard warm-up:
-    f((a+b)/2) <= mean of f over [a, b] <= (f(a)+f(b))/2 for convex f."""
-    if interval is None:
-        interval = fn.domain
-    elif not isinstance(interval, Interval):
-        interval = Interval(*interval)
-    a, b = interval.a, interval.b
+def hermite_hadamard_check(fn, *, quad_tol=1e-12):
+    """Classical Hermite-Hadamard warm-up on fn's domain [a, b]:
+    f((a+b)/2) <= mean of f over [a, b] <= (f(a)+f(b))/2 for convex f,
+    up to a margin tolerance of 1e-10."""
+    a, b = fn.domain.a, fn.domain.b
     base = dict(
         function=fn.name, kernel="", theorem="HH",
         a=a, b=b, x=None, lam=None, alpha=None, q=None, p=None, s=None,
     )
-    try:
-        witness = _convexity_witness(fn, interval)
-        mid = fn.f(0.5 * (a + b))
+
+    def check():
+        witness = check_phi_convex(fn.f, PhiKernel.constant(), fn.domain)
+        mid = float(fn.f(0.5 * (a + b)))
         res = integrate(fn.f, a, b, QuadratureSpec(abs_tol=0.1 * quad_tol, rel_tol=10.0 * quad_tol))
         mean = res.value / (b - a)
-        end_avg = 0.5 * (fn.f(a) + fn.f(b))
+        end_avg = float(0.5 * (fn.f(a) + fn.f(b)))
         margin = min(mean - mid, end_avg - mean)
-        residuals = {"midpoint": mid, "integral_mean": mean, "endpoint_avg": end_avg}
-        if not witness.holds:
-            status = STATUS_HYPOTHESIS
-        elif margin >= -tol:
-            status = STATUS_PASS
-        else:
-            status = STATUS_FAIL
-        return BoundReport(
-            **base, lhs=mid, rhs=end_avg, margin=margin,
-            hypothesis_ok=witness.holds, status=status, oracle_residuals=residuals,
+        return dict(
+            lhs=mid, rhs=end_avg, margin=margin, hypothesis_ok=witness.holds,
+            status=_status(witness.holds, margin, 1e-10),
+            oracle_residuals={"midpoint": mid, "integral_mean": mean, "endpoint_avg": end_avg},
         )
-    except (PhiIneqError, OverflowError, ZeroDivisionError) as exc:
-        return BoundReport(
-            **base, lhs=None, rhs=None, margin=None,
-            hypothesis_ok=False, status=STATUS_ERROR, message=str(exc),
-        )
+
+    return _report(base, check)
 
 
 @dataclass(frozen=True)
@@ -256,6 +212,8 @@ class SweepPlan:
         for v in self.q:
             if not v >= 1.0:
                 problems.append(f"q {v} below 1")
+        if not self.tol > 0.0:
+            problems.append(f"tol {self.tol} not positive")
         for t in self.theorems:
             if t not in ("T1", "T2"):
                 problems.append(f"unknown sweep theorem {t!r}")

@@ -162,6 +162,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "lambda" in err
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["--fn", "t^2", "--a", "2"], "interval requires a < b"),
+        (["--fn", "bogus("], "cannot parse function expression"),
+        (["--fn", "t^2", "--x", "5"], "x must lie in [0.0, 1.0]"),
+    ])
+    def test_bad_verify_input_is_two(self, argv, reason, capsys):
+        # a bad interval, expression or x is the caller's mistake, not a
+        # numerical error
+        assert main(["verify", *argv]) == 2
+        assert f"usage error: {reason}" in capsys.readouterr().err
+
+    def test_non_positive_tol_is_two(self, tmp_path, capsys):
+        # t^2 at the defaults is an equality case (margin -5.6e-17), which
+        # a tolerance <= 0 would report as FAIL
+        assert main(["verify", "--fn", "t^2", "--tol", "0"]) == 2
+        assert "--tol must be positive" in capsys.readouterr().err
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps({
+            "functions": ["t^2"], "kernels": ["constant"],
+            "x": [0.5], "lambda": [0.0], "alpha": [1.0], "q": [1.0], "tol": -1,
+        }))
+        assert main(["sweep", "--config", str(plan_file)]) == 2
+        assert "tol -1.0 not positive" in capsys.readouterr().err
+
     def test_numerical_failure_is_three(self, capsys):
         code = main(["verify", "--fn", "t^2", "--theorem", "t1",
                      "--quad-tol", "1e-30"])

@@ -35,7 +35,6 @@ class TestVerifyPoint:
         assert r.hypothesis_ok
         assert abs(r.margin) <= 1e-9
         assert r.lhs == pytest.approx(0.25, abs=1e-10)
-        assert r.oracle_residuals["A1_closed_vs_oracle"] < 1e-10
 
     def test_t2_margin(self):
         fn = registry()["t^2"]
@@ -43,7 +42,6 @@ class TestVerifyPoint:
         assert r.status == "PASS"
         assert r.p == pytest.approx(2.0)
         assert r.margin == pytest.approx(math.sqrt(0.2) * 0.5 - 1.0 / 6.0, abs=1e-9)
-        assert r.oracle_residuals["M_quadrature_vs_closed"] < 1e-11
 
     def test_hypothesis_gate_fires(self):
         fn = registry()["sqrt_control"]
@@ -76,10 +74,23 @@ class TestVerifyPoint:
         assert r.status == "FAIL"
 
     def test_report_fields_are_builtin_floats(self):
+        # exp(t) and -ln(t) evaluate to numpy scalars; every check must
+        # still hand out builtin floats, or the CSV shows np.float64(...)
         fn = registry()["-ln(t)"]
         r = verify_point(fn, params(fn, x=1.0), CONST, "T1")
         for v in (r.lhs, r.rhs, r.margin, r.x, r.a, r.b):
             assert type(v) is float
+        for name in ("exp(t)", "-ln(t)"):
+            fn = registry()[name]
+            x = 0.5 * (fn.domain.a + fn.domain.b)
+            r = identity_check(fn, params(fn, x=x, lam=0.7, alpha=2.5))
+            assert r.status == "PASS"
+            for v in (r.lhs, r.rhs, r.margin):
+                assert type(v) is float
+            r = hermite_hadamard_check(fn)
+            assert r.status == "PASS"
+            for v in (r.lhs, r.rhs, r.margin, *r.oracle_residuals.values()):
+                assert type(v) is float
 
     def test_rejects_non_bound_theorems(self):
         fn = registry()["t^2"]
@@ -145,6 +156,12 @@ class TestSweep:
             SweepPlan(("t^2",), (CONST,), (0.5,), (0.5,), (-1.0,), (1.0,))
         with pytest.raises(DomainError):
             SweepPlan(("t^2",), (CONST,), (0.5,), (0.5,), (1.0,), ())
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_plan_rejects_non_positive_tol(self, tol):
+        # a margin tolerance <= 0 turns rounding in an equality case into FAIL
+        with pytest.raises(DomainError, match="tol"):
+            SweepPlan(("t^2",), (CONST,), (0.5,), (0.0,), (1.0,), (1.0,), tol=tol)
 
     def test_spec_example_shape(self):
         plan = SweepPlan(
