@@ -27,7 +27,6 @@ checks at lam in {0, 1} -- and never feed a bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .coefquad import coef_integral
 from .errors import DomainError
@@ -101,16 +100,19 @@ def _coef_tols(quad_tol):
     return 0.1 * quad_tol, 10.0 * quad_tol
 
 
-@lru_cache(maxsize=4096)
-def _fractional_pair(fn, a, b, x, alpha, quad_tol):
-    """(J1, J2): the two composite fractional integrals entering S."""
+def fractional_sum(fn, a, b, x, alpha, *, quad_tol=1e-12):
+    """J1 + J2: the two composite fractional integrals entering S.  They
+    depend on (x, alpha) but not on lambda, so a sweep computes the sum
+    once per (fn, x, alpha) and hands it to :func:`s_functional`."""
     j1 = rl_right(fn.f, b=x, alpha=alpha, x=a, quad_tol=quad_tol) if x > a else 0.0
     j2 = rl_left(fn.f, a=x, alpha=alpha, x=b, quad_tol=quad_tol) if x < b else 0.0
-    return j1, j2
+    return j1 + j2
 
 
-def s_functional(fn, params, *, quad_tol=1e-12):
-    """The four-term functional S(x, lam, alpha; a, b) for fn."""
+def s_functional(fn, params, *, quad_tol=1e-12, j_sum=None):
+    """The four-term functional S(x, lam, alpha; a, b) for fn.  ``j_sum``
+    is J1 + J2 from :func:`fractional_sum` at the same (x, alpha) and
+    quad_tol; it is computed here when not given."""
     a, b = params.a, params.b
     x, lam, alpha = params.x, params.lam, params.alpha
     w = b - a
@@ -119,8 +121,9 @@ def s_functional(fn, params, *, quad_tol=1e-12):
     term1 = (1.0 - lam) * (dbx ** (alpha + 1.0) - dxa ** (alpha + 1.0)) / w * fn.f1(x)
     term2 = (1.0 + alpha - lam) * (dxa ** alpha + dbx ** alpha) / w * fn.f(x)
     term3 = lam * (dxa ** alpha * fn.f(a) + dbx ** alpha * fn.f(b)) / w if lam != 0.0 else 0.0
-    j1, j2 = _fractional_pair(fn, a, b, x, alpha, quad_tol)
-    term4 = gamma(alpha + 2.0) / w * (j1 + j2)
+    if j_sum is None:
+        j_sum = fractional_sum(fn, a, b, x, alpha, quad_tol=quad_tol)
+    term4 = gamma(alpha + 2.0) / w * j_sum
     return term1 + term2 + term3 - term4
 
 
@@ -222,15 +225,27 @@ def theorem1_bound(fn, params, kernel, *, quad_tol=1e-12):
     """
     a, b = params.a, params.b
     x, lam, alpha, q = params.x, params.lam, params.alpha, params.q
-    w = b - a
     a2 = coef_weighted(alpha, lam, kernel, "A2", quad_tol=quad_tol)
     a3 = coef_weighted(alpha, lam, kernel, "A3", quad_tol=quad_tol)
-    fx = abs(fn.f2(x)) ** q
-    fa = abs(fn.f2(a)) ** q
-    fb = abs(fn.f2(b)) ** q
+    a1 = None if q == 1.0 else coef_a1(alpha, lam)
+    return power_mean_rhs(a, b, x, alpha, q, (a1, a2, a3), f2_powers(fn, a, b, x, q))
+
+
+def f2_powers(fn, a, b, x, q):
+    """(|f''(x)|^q, |f''(a)|^q, |f''(b)|^q), the values both bounds weigh."""
+    f2 = fn.f2
+    return abs(f2(x)) ** q, abs(f2(a)) ** q, abs(f2(b)) ** q
+
+
+def power_mean_rhs(a, b, x, alpha, q, coefs, powers):
+    """The T1 bound from its coefficients ``(A1, A2, A3)`` (A1 is read
+    only when q != 1) and the :func:`f2_powers` at x."""
+    a1, a2, a3 = coefs
+    fx, fa, fb = powers
+    w = b - a
     term_a = (x - a) ** (alpha + 2.0) / w * (a2 * fx + a3 * fa) ** (1.0 / q)
     term_b = (b - x) ** (alpha + 2.0) / w * (a2 * fx + a3 * fb) ** (1.0 / q)
-    prefactor = 1.0 if q == 1.0 else coef_a1(alpha, lam) ** (1.0 - 1.0 / q)
+    prefactor = 1.0 if q == 1.0 else a1 ** (1.0 - 1.0 / q)
     return prefactor * (term_a + term_b)
 
 
@@ -247,12 +262,17 @@ def theorem2_bound(fn, params, kernel, *, quad_tol=1e-12):
     p = params.conjugate_p()
     a, b = params.a, params.b
     x, lam, alpha, q = params.x, params.lam, params.alpha, params.q
-    w = b - a
     b_val = coef_b(alpha, lam, p, quad_tol=quad_tol)
     m = weight_moment(kernel, quad_tol=quad_tol)
-    fx = abs(fn.f2(x)) ** q
-    fa = abs(fn.f2(a)) ** q
-    fb = abs(fn.f2(b)) ** q
+    return holder_rhs(a, b, x, alpha, q, p, (b_val, m), f2_powers(fn, a, b, x, q))
+
+
+def holder_rhs(a, b, x, alpha, q, p, coefs, powers):
+    """The T2 bound from its coefficients ``(B, M)`` and the
+    :func:`f2_powers` at x."""
+    b_val, m = coefs
+    fx, fa, fb = powers
+    w = b - a
     term_a = (x - a) ** (alpha + 2.0) / w * ((fx + fa) * m) ** (1.0 / q)
     term_b = (b - x) ** (alpha + 2.0) / w * ((fx + fb) * m) ** (1.0 / q)
     return b_val ** (1.0 / p) * (term_a + term_b)

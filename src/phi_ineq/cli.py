@@ -30,6 +30,7 @@ from .verify import (
     identity_check,
     sweep,
     sweep_summary,
+    verify_grid,
     verify_point,
 )
 
@@ -202,13 +203,28 @@ def _plan_from_file(path, violations):
         return None
 
 
+def _attach_fn_value(argv):
+    """``--fn VALUE`` as ``--fn=VALUE``.  argparse takes a separate value
+    that starts with a minus sign (``-ln(t)``, ``-t^2``) for a flag, so the
+    token after ``--fn`` is attached to it and read as it is."""
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--fn":
+            value = next(tokens, None)
+            if value is not None:
+                token = f"--fn={value}"
+        out.append(token)
+    return out
+
+
 def parse_config(argv):
     """Parse flags (and any config file) into a validated namespace;
     raises UsageError listing every violation.  ``--fn`` is stored as
     ``function`` and ``--format`` as ``fmt``.  For verify, ``fn`` holds the
     resolved function and ``kernel`` a PhiKernel; for sweep, ``plan`` holds
     the SweepPlan."""
-    ns = _build_parser().parse_args(argv)
+    ns = _build_parser().parse_args(_attach_fn_value(argv))
     if ns.command == "selftest":
         return ns
     violations = []
@@ -292,17 +308,14 @@ def _run_verify(cfg):
     lam = cfg.lam if cfg.lam is not None else 0.0
 
     if cfg.preset is not None:
+        # the three lambda share one J1 + J2, one gate and one |f''|^q
         theorem = "T1" if cfg.preset == "c2" else "T2"
         q = cfg.q if (cfg.preset == "c2" or cfg.q > 1.0) else 2.0
-        reports = []
-        for lam_preset in (1.0 / 3.0, 0.0, 1.0):
-            params = EvalParams(interval, x=0.5 * (interval.a + interval.b),
-                                lam=lam_preset, alpha=cfg.alpha, q=q)
-            reports.append(verify_point(
-                fn, params, PhiKernel.constant(), theorem,
-                tol=cfg.tol, quad_tol=cfg.quad_tol, rhs_scale=cfg.inject_bound_scale,
-            ))
-        return reports
+        return verify_grid(
+            fn, (PhiKernel.constant(),), (q,), (0.5 * (interval.a + interval.b),),
+            (1.0 / 3.0, 0.0, 1.0), (cfg.alpha,), (theorem,),
+            tol=cfg.tol, quad_tol=cfg.quad_tol, rhs_scale=cfg.inject_bound_scale,
+        )
 
     if cfg.theorem == "hh":
         return [hermite_hadamard_check(fn, quad_tol=cfg.quad_tol)]

@@ -41,8 +41,9 @@ class Interval:
         return self.b - self.a
 
 
-def _kernel_weighted(f_shifted, length, alpha, quad_tol):
-    """integral over [0, length] of tau**(alpha-1) * f_shifted(tau) dtau.
+def _kernel_weighted(integrand, length, alpha, quad_tol):
+    """integral over [0, length] of ``integrand(tau)``, which is
+    tau**(alpha-1) * f at distance tau from the evaluation point.
 
     Both operators are computed in the shifted variable tau = distance
     from the evaluation point, putting the kernel singularity at tau = 0.
@@ -55,11 +56,7 @@ def _kernel_weighted(f_shifted, length, alpha, quad_tol):
         rel_tol=10.0 * quad_tol,
         left_exponent=alpha - 1.0 if alpha < 1.0 else 0.0,
     )
-    res = integrate(
-        lambda tau: tau ** (alpha - 1.0) * f_shifted(tau),
-        0.0, length, spec,
-    )
-    return res.value / gamma(alpha)
+    return integrate(integrand, 0.0, length, spec).value / gamma(alpha)
 
 
 def rl_left(f, a, alpha, x, *, quad_tol=1e-12):
@@ -71,7 +68,8 @@ def rl_left(f, a, alpha, x, *, quad_tol=1e-12):
         raise DomainError(f"fractional order must be positive, got {alpha}")
     if not x > a:
         raise DomainError(f"rl_left requires x > a, got x={x}, a={a}")
-    return _kernel_weighted(lambda tau: f(x - tau), x - a, alpha, quad_tol)
+    e = alpha - 1.0
+    return _kernel_weighted(lambda tau: tau ** e * f(x - tau), x - a, alpha, quad_tol)
 
 
 def rl_right(f, b, alpha, x, *, quad_tol=1e-12):
@@ -83,4 +81,5 @@ def rl_right(f, b, alpha, x, *, quad_tol=1e-12):
         raise DomainError(f"fractional order must be positive, got {alpha}")
     if not x < b:
         raise DomainError(f"rl_right requires x < b, got x={x}, b={b}")
-    return _kernel_weighted(lambda tau: f(x + tau), b - x, alpha, quad_tol)
+    e = alpha - 1.0
+    return _kernel_weighted(lambda tau: tau ** e * f(x + tau), b - x, alpha, quad_tol)

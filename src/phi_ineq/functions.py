@@ -3,8 +3,8 @@
 A :class:`TestFunction` bundles (f, f', f'') on an interval.  Functions
 can come from the built-in registry or from a small expression grammar --
 polynomials in t, exp(...), ln(...), scalar multiples, sums and integer
-powers -- whose derivatives are computed symbolically, so the derivative
-consistency invariant holds exactly.
+powers -- whose derivatives are computed symbolically, so they are exact
+at any scale of the interval.
 
 Grammar examples: ``t^2``, ``2*t^3 - t``, ``exp(t)``, ``-ln(t)``.
 """
@@ -290,7 +290,13 @@ def parse_expression(src):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A scalar function with exact first and second derivatives."""
+    """A scalar function with exact first and second derivatives.
+
+    Construction checks that f, f' and f'' are finite at seven points
+    inside the domain, which rejects an expression such as ``ln(t)`` on an
+    interval reaching t <= 0.  The derivatives themselves are trusted:
+    parsed expressions are differentiated symbolically, and the registry's
+    hand-written ``sqrt_control`` is checked in the tests."""
 
     name: str
     f: Callable
@@ -300,20 +306,9 @@ class TestFunction:
 
     def __post_init__(self):
         a, b = self.domain.a, self.domain.b
-        h = 1e-6 * (b - a)
         for u in np.linspace(a + 0.07 * (b - a), b - 0.07 * (b - a), 7):
             if not all(np.isfinite(g(u)) for g in (self.f, self.f1, self.f2)):
                 raise DomainError(f"{self.name}: non-finite value inside the domain at t={u:g}")
-            fd1 = (self.f(u + h) - self.f(u - h)) / (2.0 * h)
-            fd2 = (self.f1(u + h) - self.f1(u - h)) / (2.0 * h)
-            if abs(fd1 - self.f1(u)) > 1e-6 * max(1.0, abs(self.f1(u))):
-                raise DomainError(
-                    f"{self.name}: first derivative inconsistent with f near t={u:g}"
-                )
-            if abs(fd2 - self.f2(u)) > 1e-6 * max(1.0, abs(self.f2(u))):
-                raise DomainError(
-                    f"{self.name}: second derivative inconsistent with f' near t={u:g}"
-                )
 
     @classmethod
     def from_expression(cls, name, source, domain):

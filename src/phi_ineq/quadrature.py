@@ -144,37 +144,81 @@ def _segment_integrand(f, seg):
     return g
 
 
+# The tables unpacked, for the unrolled panel rule below.
+_XK0, _XK1, _XK2, _XK3, _XK4, _XK5, _XK6 = XGK[:7]
+_WK0, _WK1, _WK2, _WK3, _WK4, _WK5, _WK6, _WK7 = WGK
+_WG0, _WG1, _WG2, _WG3 = WG
+
+
+def _non_finite(f1, f2, left, right):
+    bad = left if not math.isfinite(f1) else right
+    return NonFiniteSample(f"integrand returned a non-finite value at {bad!r}")
+
+
 def _gk15(g, a, b):
     """Kronrod / Gauss pair on one panel with a QUADPACK-style error
-    estimate.  Returns (value, err)."""
+    estimate.  Returns (value, err).
+
+    The loop over the seven node pairs is unrolled, so the samples stay in
+    locals; every sum still adds the centre term first and then the pairs
+    in table order, outermost first.  The Gauss nodes are pairs 1, 3, 5."""
+    isfinite = math.isfinite
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fc = g(c)
-    if not math.isfinite(fc):
+    if not isfinite(fc):
         raise NonFiniteSample(f"integrand returned {fc!r} at {c!r}")
-    resk = WGK[7] * fc
-    resg = WG[3] * fc
-    resabs = WGK[7] * abs(fc)
-    values = [fc]
-    offsets = [0.0]
-    for j in range(7):
-        dx = h * XGK[j]
-        f1 = g(c - dx)
-        f2 = g(c + dx)
-        if not (math.isfinite(f1) and math.isfinite(f2)):
-            bad = c - dx if not math.isfinite(f1) else c + dx
-            raise NonFiniteSample(f"integrand returned a non-finite value at {bad!r}")
-        resk += WGK[j] * (f1 + f2)
-        resabs += WGK[j] * (abs(f1) + abs(f2))
-        if j % 2 == 1:
-            resg += WG[j // 2] * (f1 + f2)
-        values.extend((f1, f2))
+    dx = h * _XK0
+    l0 = g(c - dx)
+    r0 = g(c + dx)
+    if not (isfinite(l0) and isfinite(r0)):
+        raise _non_finite(l0, r0, c - dx, c + dx)
+    dx = h * _XK1
+    l1 = g(c - dx)
+    r1 = g(c + dx)
+    if not (isfinite(l1) and isfinite(r1)):
+        raise _non_finite(l1, r1, c - dx, c + dx)
+    dx = h * _XK2
+    l2 = g(c - dx)
+    r2 = g(c + dx)
+    if not (isfinite(l2) and isfinite(r2)):
+        raise _non_finite(l2, r2, c - dx, c + dx)
+    dx = h * _XK3
+    l3 = g(c - dx)
+    r3 = g(c + dx)
+    if not (isfinite(l3) and isfinite(r3)):
+        raise _non_finite(l3, r3, c - dx, c + dx)
+    dx = h * _XK4
+    l4 = g(c - dx)
+    r4 = g(c + dx)
+    if not (isfinite(l4) and isfinite(r4)):
+        raise _non_finite(l4, r4, c - dx, c + dx)
+    dx = h * _XK5
+    l5 = g(c - dx)
+    r5 = g(c + dx)
+    if not (isfinite(l5) and isfinite(r5)):
+        raise _non_finite(l5, r5, c - dx, c + dx)
+    dx = h * _XK6
+    l6 = g(c - dx)
+    r6 = g(c + dx)
+    if not (isfinite(l6) and isfinite(r6)):
+        raise _non_finite(l6, r6, c - dx, c + dx)
+    resk = (_WK7 * fc + _WK0 * (l0 + r0) + _WK1 * (l1 + r1) + _WK2 * (l2 + r2)
+            + _WK3 * (l3 + r3) + _WK4 * (l4 + r4) + _WK5 * (l5 + r5) + _WK6 * (l6 + r6))
+    resg = _WG3 * fc + _WG0 * (l1 + r1) + _WG1 * (l3 + r3) + _WG2 * (l5 + r5)
+    resabs = (_WK7 * abs(fc) + _WK0 * (abs(l0) + abs(r0)) + _WK1 * (abs(l1) + abs(r1))
+              + _WK2 * (abs(l2) + abs(r2)) + _WK3 * (abs(l3) + abs(r3))
+              + _WK4 * (abs(l4) + abs(r4)) + _WK5 * (abs(l5) + abs(r5))
+              + _WK6 * (abs(l6) + abs(r6)))
     reskh = 0.5 * resk
-    resasc = WGK[7] * abs(fc - reskh)
-    k = 1
-    for j in range(7):
-        resasc += WGK[j] * (abs(values[k] - reskh) + abs(values[k + 1] - reskh))
-        k += 2
+    resasc = (_WK7 * abs(fc - reskh)
+              + _WK0 * (abs(l0 - reskh) + abs(r0 - reskh))
+              + _WK1 * (abs(l1 - reskh) + abs(r1 - reskh))
+              + _WK2 * (abs(l2 - reskh) + abs(r2 - reskh))
+              + _WK3 * (abs(l3 - reskh) + abs(r3 - reskh))
+              + _WK4 * (abs(l4 - reskh) + abs(r4 - reskh))
+              + _WK5 * (abs(l5 - reskh) + abs(r5 - reskh))
+              + _WK6 * (abs(l6 - reskh) + abs(r6 - reskh)))
     value = resk * h
     resabs *= abs(h)
     resasc *= abs(h)

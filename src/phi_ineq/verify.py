@@ -13,6 +13,16 @@ violation.  Before declaring FAIL the point is re-run at 10x tighter
 quadrature tolerance to rule out integration noise.  A numerical failure
 (PhiIneqError, overflow, division by zero) becomes an ERROR report with
 the failure's message.
+
+Grids of points (:func:`sweep`, and the CLI presets through
+:func:`verify_grid`) are evaluated in stages over per-run tables, dicts
+that live for one call: each distinct J1+J2, S, |f''|^q and
+coefficient is computed once and every report is assembled from them with
+the formulas of :mod:`phi_ineq.bounds`, so it is byte for byte the report
+:func:`verify_point` would give.  Two caches outlive a run, because
+one-point callers repeat their keys across calls: the gate witnesses of
+:func:`_hypothesis_witness` and the coefficient integrals of
+:mod:`phi_ineq.coefquad`.
 """
 
 from __future__ import annotations
@@ -22,10 +32,18 @@ from functools import lru_cache
 
 from .bounds import (
     EvalParams,
+    coef_a1,
+    coef_b,
+    coef_weighted,
+    f2_powers,
+    fractional_sum,
+    holder_rhs,
     identity_rhs,
+    power_mean_rhs,
     s_functional,
     theorem1_bound,
     theorem2_bound,
+    weight_moment,
 )
 from .convexity import KIND_POWER, PhiKernel, check_phi_convex
 from .errors import DomainError, PhiIneqError
@@ -73,13 +91,17 @@ def _status(hypothesis_ok, margin, tol):
     return STATUS_PASS if margin >= -tol else STATUS_FAIL
 
 
+# The failures a check turns into an ERROR report.
+_NUMERICAL = (PhiIneqError, OverflowError, ZeroDivisionError)
+
+
 def _report(base, check):
     """The report of ``check()``'s verdict fields, or an ERROR report when
     the check fails numerically.  ``base`` is read after the check, so a
     field the check fills in before failing reaches the ERROR report."""
     try:
         verdict = check()
-    except (PhiIneqError, OverflowError, ZeroDivisionError) as exc:
+    except _NUMERICAL as exc:
         return BoundReport(
             **base, lhs=None, rhs=None, margin=None,
             hypothesis_ok=False, status=STATUS_ERROR, message=str(exc),
@@ -87,6 +109,10 @@ def _report(base, check):
     return BoundReport(**base, **verdict)
 
 
+# Kept across calls: one process of the points-scatter benchmark makes
+# 1,029 verify_point calls over only 84 distinct gate keys.  A gate scan
+# takes about 0.7 ms on a 2-vCPU Xeon VM, so without this cache the 945
+# repeated scans would add about 0.7 s to each session.
 @lru_cache(maxsize=512)
 def _hypothesis_witness(fn, q, kernel, interval):
     def g(u):
@@ -233,31 +259,164 @@ def default_sweep_plan():
     )
 
 
+class _Table(dict):
+    """A per-run table: ``table[key]`` is ``compute(*key)``, computed on
+    first use and kept for the rest of the run.  A numerical failure is
+    stored as None; every point that needs the entry then goes through
+    :func:`verify_point`, which reports the failure."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key):
+        try:
+            value = self._compute(*key)
+        except _NUMERICAL:
+            value = None
+        self[key] = value
+        return value
+
+
+def _kernel_coefficients(kernel, quad_tol):
+    """The coefficient tables of one kernel: (A1, A2, A3) per (alpha, lam)
+    for T1 and (B, M) per (alpha, lam, p) for T2."""
+    def t1(alpha, lam):
+        return (coef_a1(alpha, lam),
+                coef_weighted(alpha, lam, kernel, "A2", quad_tol=quad_tol),
+                coef_weighted(alpha, lam, kernel, "A3", quad_tol=quad_tol))
+
+    def t2(alpha, lam, p):
+        return (coef_b(alpha, lam, p, quad_tol=quad_tol),
+                weight_moment(kernel, quad_tol=quad_tol))
+
+    return _Table(t1), _Table(t2)
+
+
+def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
+                quad_tol=1e-12, rhs_scale=1.0, coefficient_tables=None):
+    """The :func:`verify_point` report of every point of a product grid for
+    one function, in the order of the nested loops kernel, q, x, lambda,
+    alpha, theorem; T2 points exist only where q > 1.
+
+    The work is staged over per-run tables, dicts that live for this call:
+    the gate witness per (kernel, q), J1+J2 per (x, alpha), S per (x,
+    lambda, alpha), |f''|^q at x, a and b per (x, q), and per kernel the
+    coefficients per (alpha, lambda[, p]).  The coefficient tables hold no
+    function, so :func:`sweep` shares them across its functions by passing
+    one ``coefficient_tables`` dict (kernel -> tables, filled here) to
+    every call.  Each report is assembled with the bound formulas of
+    :mod:`phi_ineq.bounds`, so its bytes equal verify_point's.  A point
+    whose check fails numerically, or that verify_point would re-run at
+    10x tighter tolerance, is handed to verify_point itself."""
+    for theorem in theorems:
+        if theorem not in ("T1", "T2"):
+            raise DomainError(f"verify_point handles T1/T2 only, got {theorem!r}")
+    dom = fn.domain
+    a, b = dom.a, dom.b
+    qs = [float(q) for q in qs]
+    for q in qs:
+        if not q >= 1.0:
+            raise DomainError(f"q must be >= 1, got {q}")
+    xs = [float(x) for x in xs]
+    lams = [float(lam) for lam in lams]
+    alphas = [float(alpha) for alpha in alphas]
+    # every (x, lam, alpha) is checked as verify_point's EvalParams checks it
+    params = {(x, lam, alpha): EvalParams(dom, x=x, lam=lam, alpha=alpha)
+              for x in xs for lam in lams for alpha in alphas}
+    if coefficient_tables is None:
+        coefficient_tables = {}
+
+    j_sums = _Table(lambda x, alpha: fractional_sum(fn, a, b, x, alpha, quad_tol=quad_tol))
+
+    def s_value(x, lam, alpha):
+        j_sum = j_sums[x, alpha]
+        if j_sum is None:
+            return None
+        return s_functional(fn, params[x, lam, alpha], quad_tol=quad_tol, j_sum=j_sum)
+
+    s_values = _Table(s_value)
+    powers = _Table(lambda x, q: f2_powers(fn, a, b, x, q))
+
+    def point_report(kernel, q, x, lam, alpha, theorem):
+        return verify_point(fn, EvalParams(dom, x=x, lam=lam, alpha=alpha, q=q), kernel,
+                            theorem, tol=tol, quad_tol=quad_tol, rhs_scale=rhs_scale)
+
+    reports = []
+    append = reports.append
+    for kernel in kernels:
+        label = kernel.label
+        s_param = kernel.s if kernel.kind == KIND_POWER else None
+        if kernel not in coefficient_tables:
+            coefficient_tables[kernel] = _kernel_coefficients(kernel, quad_tol)
+        t1_coefs, t2_coefs = coefficient_tables[kernel]
+        for q in qs:
+            row_theorems = [t for t in theorems if t == "T1" or q > 1.0]
+            if not row_theorems:
+                continue
+            try:
+                witness = _hypothesis_witness(fn, q, kernel, dom)
+            except _NUMERICAL:
+                witness = None
+            p = q / (q - 1.0) if q > 1.0 else None
+            for x in xs:
+                fq = powers[x, q]
+                for lam in lams:
+                    for alpha in alphas:
+                        s = s_values[x, lam, alpha]
+                        for theorem in row_theorems:
+                            t1 = theorem == "T1"
+                            coefs = t1_coefs[alpha, lam] if t1 else t2_coefs[alpha, lam, p]
+                            if witness is None or s is None or fq is None or coefs is None:
+                                append(point_report(kernel, q, x, lam, alpha, theorem))
+                                continue
+                            try:
+                                if t1:
+                                    bound = power_mean_rhs(a, b, x, alpha, q, coefs, fq)
+                                else:
+                                    bound = holder_rhs(a, b, x, alpha, q, p, coefs, fq)
+                            except _NUMERICAL:
+                                append(point_report(kernel, q, x, lam, alpha, theorem))
+                                continue
+                            lhs = float(abs(s))
+                            rhs = float(bound * rhs_scale)
+                            margin = rhs - lhs
+                            holds = witness.holds
+                            if holds and margin < -tol:
+                                append(point_report(kernel, q, x, lam, alpha, theorem))
+                                continue
+                            append(BoundReport(
+                                fn.name, label, theorem, a, b, x, lam, alpha, q,
+                                None if t1 else p, s_param, lhs, rhs, margin,
+                                holds, _status(holds, margin, tol),
+                            ))
+    return reports
+
+
 def sweep(plan, *, quad_tol=1e-12, rhs_scale=1.0):
     """Run the full Cartesian product of the plan; T2 points exist only
     where q > 1 (p is derived as q/(q-1)).  Reports come back sorted by
-    (function, kernel, theorem, x, lambda, alpha, q)."""
+    (function, kernel, theorem, x, lambda, alpha, q).
+
+    Each function's points go through :func:`verify_grid`; the coefficient
+    tables are shared by all of them and, like verify_grid's own tables,
+    are dropped when the sweep returns.  The two caches that outlive a run
+    are the gate witnesses of :func:`_hypothesis_witness` and the
+    coefficient integrals of :mod:`phi_ineq.coefquad`, which one-point
+    callers need."""
     reg = registry()
+    coefficient_tables = {}
     reports = []
     for name in plan.function_names:
         if name not in reg:
             raise DomainError(f"unknown registry function {name!r}")
         fn = reg[name]
         a, b = fn.domain.a, fn.domain.b
-        for kernel in plan.kernels:
-            for q in plan.q:
-                for xi in plan.x_rel:
-                    x = a + (b - a) * xi
-                    for lam in plan.lam:
-                        for alpha in plan.alpha:
-                            params = EvalParams(fn.domain, x=x, lam=lam, alpha=alpha, q=q)
-                            for theorem in plan.theorems:
-                                if theorem == "T2" and q <= 1.0:
-                                    continue
-                                reports.append(verify_point(
-                                    fn, params, kernel, theorem,
-                                    tol=plan.tol, quad_tol=quad_tol, rhs_scale=rhs_scale,
-                                ))
+        reports.extend(verify_grid(
+            fn, plan.kernels, plan.q, [a + (b - a) * xi for xi in plan.x_rel],
+            plan.lam, plan.alpha, plan.theorems, tol=plan.tol, quad_tol=quad_tol,
+            rhs_scale=rhs_scale, coefficient_tables=coefficient_tables,
+        ))
     reports.sort(key=_sort_key)
     return reports
 

@@ -173,6 +173,16 @@ class TestExitCodes:
         assert main(["verify", *argv]) == 2
         assert f"usage error: {reason}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fn", ["-ln(t)", "-t^2"])
+    def test_fn_value_may_start_with_minus(self, fn, capsys):
+        # argparse used to read a leading minus as a flag and exit 2 with
+        # "argument --fn: expected one argument"
+        assert main(["verify", "--fn", fn, "--theorem", "hh"]) == 0
+        spaced = capsys.readouterr().out
+        assert spaced.splitlines()[1].startswith(f"{fn},")
+        assert main(["verify", f"--fn={fn}", "--theorem", "hh"]) == 0
+        assert capsys.readouterr().out == spaced
+
     def test_non_positive_tol_is_two(self, tmp_path, capsys):
         # t^2 at the defaults is an equality case (margin -5.6e-17), which
         # a tolerance <= 0 would report as FAIL

@@ -58,9 +58,31 @@ def test_testfunction_derivative_invariant():
     fn = TestFunction.from_expression("cube", "t^3", Interval(0.0, 1.0))
     assert fn.f1(0.5) == pytest.approx(0.75)
     assert fn.f2(0.5) == pytest.approx(3.0)
-    with pytest.raises(DomainError):
-        TestFunction("broken", f=lambda t: t ** 3, f1=lambda t: t,
-                     f2=lambda t: 6 * t, domain=Interval(0.0, 1.0))
+    # derivatives are trusted; non-finite values inside the domain are not
+    with pytest.raises(DomainError, match="non-finite"):
+        TestFunction("broken", f=lambda t: t ** 3, f1=lambda t: 3 * t ** 2,
+                     f2=lambda t: math.nan, domain=Interval(0.0, 1.0))
+
+
+@pytest.mark.parametrize("name", list(registry()))
+def test_registry_derivatives_match_differences(name):
+    # central differences of f and f' against f' and f'' at interior points
+    fn = registry()[name]
+    a, b = fn.domain.a, fn.domain.b
+    h = 1e-5 * (b - a)
+    for u in (a + 0.1 * (b - a), 0.5 * (a + b), b - 0.1 * (b - a)):
+        fd1 = (fn.f(u + h) - fn.f(u - h)) / (2.0 * h)
+        fd2 = (fn.f1(u + h) - fn.f1(u - h)) / (2.0 * h)
+        assert fd1 == pytest.approx(fn.f1(u), rel=1e-7, abs=1e-7)
+        assert fd2 == pytest.approx(fn.f2(u), rel=1e-7, abs=1e-7)
+
+
+def test_tiny_interval_is_accepted():
+    # differences with h = 1e-6 * (b - a) used to reject exact symbolic
+    # derivatives here as "first derivative inconsistent"
+    fn = resolve_function("exp(t)", 0.0, 1e-6)
+    assert (fn.domain.a, fn.domain.b) == (0.0, 1e-6)
+    assert float(fn.f2(5e-7)) == pytest.approx(math.exp(5e-7), rel=1e-15)
 
 
 def test_registry_contents():

@@ -1,6 +1,7 @@
-"""Golden outputs: the sha256 of stdout for the default sweep, the
-discrepancy ledger, the selftest and a set of verify commands that reach
-every theorem, kernel and preset, in both formats where there are two.
+"""Golden outputs: the sha256 of stdout for the default sweep, a
+20,790-point sweep, the discrepancy ledger, the selftest and a set of
+verify commands that reach every theorem, kernel and preset, in both
+formats where there are two.
 
 Same-process reruns are checked for byte-identity elsewhere; these digests
 catch drift between versions of the code.  A change that alters any of
@@ -8,10 +9,12 @@ these outputs on purpose records why and updates the digest here.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from phi_ineq.cli import main
+from phi_ineq.cli import main, parse_config, reports_to_csv, reports_to_json
+from phi_ineq.verify import sweep
 
 GOLDEN = {
     "sweep": "22ae18ed431d22950be83240675fc13e4b9978f3a9e226cbb5a0df89f1feb181",
@@ -39,3 +42,33 @@ def test_stdout_digest(command, capsys):
     assert main(command.split()) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == GOLDEN[command], f"stdout of `phi-ineq {command}` drifted"
+
+
+# The 20,790-point plan: 7 functions x 3 kernels x 3 x x 11 lambda x
+# 6 alpha x q in {1, 1.5, 3}, T1 at every q and T2 where q > 1.  Reports
+# are sorted, so the digests do not depend on the order of the axes.
+LARGE_PLAN = {
+    "functions": ["t", "t^2", "t^3", "t^4", "exp(t)", "-ln(t)", "sqrt_control"],
+    "kernels": ["constant", "power:0.5", "mt"],
+    "x": [0.1, 0.5, 0.9],
+    "lambda": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
+    "alpha": [0.25, 0.5, 1.0, 1.5, 2.0, 3.0],
+    "q": [1.0, 1.5, 3.0],
+}
+LARGE_GOLDEN = {
+    "csv": "efdc3c57a838adb17cc59419c4e2af14fbb7237fcb486fc59a44fc03ca90258a",
+    "json": "b63ce52decf7e4bcb2ef663d7b855186850056fb56e525005045b3de8bf821e9",
+}
+
+
+def test_large_sweep_digests(tmp_path):
+    """One sweep of the large plan, rendered as `phi-ineq sweep --config
+    PLAN` and `... --format json` would print it."""
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(LARGE_PLAN), encoding="utf-8")
+    cfg = parse_config(["sweep", "--config", str(path)])
+    reports = sweep(cfg.plan, quad_tol=cfg.quad_tol)
+    assert len(reports) == 20790
+    for fmt, render in (("csv", reports_to_csv), ("json", reports_to_json)):
+        digest = hashlib.sha256(render(reports).encode()).hexdigest()
+        assert digest == LARGE_GOLDEN[fmt], f"{fmt} output of the large sweep drifted"

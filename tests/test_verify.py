@@ -220,6 +220,47 @@ class TestSweep:
             assert r.rhs >= r.lhs - 1e-9
 
 
+def _reference_sweep(plan, *, quad_tol=1e-12, rhs_scale=1.0):
+    """The point-by-point sweep: one verify_point call per report."""
+    reg = registry()
+    reports = []
+    for name in plan.function_names:
+        fn = reg[name]
+        a, b = fn.domain.a, fn.domain.b
+        for kernel in plan.kernels:
+            for q in plan.q:
+                for xi in plan.x_rel:
+                    x = a + (b - a) * xi
+                    for lam in plan.lam:
+                        for alpha in plan.alpha:
+                            p = EvalParams(fn.domain, x=x, lam=lam, alpha=alpha, q=q)
+                            for theorem in plan.theorems:
+                                if theorem == "T2" and q <= 1.0:
+                                    continue
+                                reports.append(verify_point(
+                                    fn, p, kernel, theorem,
+                                    tol=plan.tol, quad_tol=quad_tol, rhs_scale=rhs_scale,
+                                ))
+    reports.sort(key=lambda r: (r.function, r.kernel, r.theorem, r.x, r.lam, r.alpha, r.q))
+    return reports
+
+
+@pytest.mark.parametrize("rhs_scale", [1.0, 0.5])
+def test_sweep_matches_point_by_point_reference(rhs_scale):
+    # PASS everywhere convex, HYPOTHESIS_UNMET for sqrt_control at q = 1,
+    # FAIL (after the tight re-run) at half the bound, ERROR at alpha = 200
+    # (Gamma overflows); x = 0.5 is repeated, and lambda = -0.0 sorts level
+    # with 0.0 but prints differently, so reports are compared by repr
+    plan = SweepPlan(("t^2", "sqrt_control"), (CONST, PhiKernel.mt()),
+                     (0.0, 0.5, 0.5, 1.0), (0.0, -0.0, 0.5), (1.0, 200.0), (1.0, 2.0))
+    reports = sweep(plan, rhs_scale=rhs_scale)
+    reference = _reference_sweep(plan, rhs_scale=rhs_scale)
+    assert [repr(r) for r in reports] == [repr(r) for r in reference]
+    counts = sweep_summary(reports)
+    assert counts["PASS"] > 0 and counts["HYPOTHESIS_UNMET"] > 0 and counts["ERROR"] > 0
+    assert (counts["FAIL"] > 0) == (rhs_scale < 1.0)
+
+
 def test_corollary_preset_consistency():
     # at phi = 1 and x = (a+b)/2 the report rhs equals the bound called directly
     fn = registry()["t^3"]
