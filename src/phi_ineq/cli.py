@@ -31,7 +31,6 @@ from .verify import (
     sweep,
     sweep_summary,
     verify_grid,
-    verify_point,
 )
 
 REPORT_COLUMNS = (
@@ -259,6 +258,8 @@ def _check_verify(ns, violations):
             except DomainError as exc:
                 violations.append(str(exc))
     else:
+        if ns.s is not None:
+            violations.append(f"--s applies to --kernel power only, not {ns.kernel}")
         ns.kernel = PhiKernel.constant() if ns.kernel == "constant" else PhiKernel.mt()
     if ns.a is not None and ns.b is not None and not ns.a < ns.b:
         violations.append(f"interval needs a < b, got a={ns.a}, b={ns.b}")
@@ -277,8 +278,6 @@ def _check_verify(ns, violations):
         violations.append(f"alpha must be positive, got {ns.alpha}")
     if not ns.q >= 1.0:
         violations.append(f"q must be >= 1, got {ns.q}")
-    if ns.s is not None and not 0.0 < ns.s <= 1.0:
-        violations.append(f"s must lie in (0, 1], got {ns.s}")
     if ns.theorem == "t2" and ns.q <= 1.0 and ns.preset is None:
         violations.append("theorem t2 requires q > 1 (p is derived as q/(q-1))")
     if not ns.tol > 0.0:
@@ -304,28 +303,25 @@ def _reports_exit(reports):
 def _run_verify(cfg):
     fn = cfg.fn
     interval = fn.domain
-    x = cfg.x if cfg.x is not None else 0.5 * (interval.a + interval.b)
-    lam = cfg.lam if cfg.lam is not None else 0.0
-
+    mid = 0.5 * (interval.a + interval.b)
     if cfg.preset is not None:
         # the three lambda share one J1 + J2, one gate and one |f''|^q
+        kernel, x, lams = PhiKernel.constant(), mid, (1.0 / 3.0, 0.0, 1.0)
         theorem = "T1" if cfg.preset == "c2" else "T2"
         q = cfg.q if (cfg.preset == "c2" or cfg.q > 1.0) else 2.0
-        return verify_grid(
-            fn, (PhiKernel.constant(),), (q,), (0.5 * (interval.a + interval.b),),
-            (1.0 / 3.0, 0.0, 1.0), (cfg.alpha,), (theorem,),
-            tol=cfg.tol, quad_tol=cfg.quad_tol, rhs_scale=cfg.inject_bound_scale,
-        )
-
-    if cfg.theorem == "hh":
+    elif cfg.theorem == "hh":
         return [hermite_hadamard_check(fn, quad_tol=cfg.quad_tol)]
-    params = EvalParams(interval, x=x, lam=lam, alpha=cfg.alpha, q=cfg.q, s=cfg.s)
-    if cfg.theorem == "lemma1":
-        return [identity_check(fn, params, quad_tol=cfg.quad_tol)]
-    return [verify_point(
-        fn, params, cfg.kernel, cfg.theorem.upper(),
+    else:
+        x = cfg.x if cfg.x is not None else mid
+        lam = cfg.lam if cfg.lam is not None else 0.0
+        if cfg.theorem == "lemma1":
+            params = EvalParams(interval, x=x, lam=lam, alpha=cfg.alpha)
+            return [identity_check(fn, params, quad_tol=cfg.quad_tol)]
+        kernel, lams, theorem, q = cfg.kernel, (lam,), cfg.theorem.upper(), cfg.q
+    return verify_grid(
+        fn, (kernel,), (q,), (x,), lams, (cfg.alpha,), (theorem,),
         tol=cfg.tol, quad_tol=cfg.quad_tol, rhs_scale=cfg.inject_bound_scale,
-    )]
+    )
 
 
 def execute(config):

@@ -14,14 +14,15 @@ kink of ``|base|`` at ``lam**(1/alpha)`` as a split point and the MT
 kernel's inverse-square-root endpoint declared, so the adaptive loop never
 has to discover either.
 
-A sweep asks once per key of its per-run tables in :mod:`phi_ineq.verify`
-(A1-A3 per (alpha, lam, kernel), B and M per (alpha, lam, kernel, p)),
-which hold the values for the length of the sweep.  The process-wide cache
-on :func:`_cached` answers the repeats those keys leave (B is the same for
-every kernel, M for every (alpha, lam, p)) and serves the callers that
-have no run to hang a table on -- ``verify_point`` called one point at a
-time, the discrepancy ledger and the selftest -- which ask for the same
-integral again across calls.
+Every T1/T2 verdict asks once per key of the per-run tables of
+:func:`phi_ineq.verify.verify_grid` (A1-A3 per (alpha, lam, kernel), B and
+M per (alpha, lam, kernel, p)), which hold the values for one call; the
+grid's tight re-run asks again through the bound functions.  The
+process-wide cache on :func:`_cached` answers the repeats those keys leave
+(B is the same for every kernel, M for every (alpha, lam, p)) and the
+repeats across calls: ``verify_point`` is a one-point grid whose tables
+die with it, and the discrepancy ledger and the selftest ask for the same
+integrals again.
 """
 
 from __future__ import annotations

@@ -84,23 +84,9 @@ def phi_eval(kernel, t):
     return 0.5 / (math.sqrt(t) * math.sqrt(1.0 - t))  # MT
 
 
-def _eval_on(g, pts):
-    """Evaluate g over a float array, vectorized when g supports it."""
-    try:
-        out = np.asarray(g(pts), dtype=float)
-        if out.shape == pts.shape:
-            return out
-    except Exception:
-        pass
-    flat = pts.ravel()
-    out = np.empty(flat.shape, dtype=float)
-    for i, v in enumerate(flat):
-        out[i] = float(g(float(v)))
-    return out.reshape(pts.shape)
-
-
 def check_phi_convex(g, kernel, interval, grid_n=33, tol=1e-9):
-    """Scan the phi-convexity inequality for g over interval.
+    """Scan the phi-convexity inequality for g over interval.  g is
+    vectorized: it maps a float array to an array of the same shape.
 
     x and y run over a uniform ``grid_n``-point grid on [a, b]; t runs
     over ``grid_n - 1`` half-step points (j + 1/2)/(grid_n - 1), which
@@ -118,7 +104,7 @@ def check_phi_convex(g, kernel, interval, grid_n=33, tol=1e-9):
     xs = np.linspace(a, b, grid_n)
     m = grid_n - 1
     ts = (np.arange(m) + 0.5) / m
-    gx = _eval_on(g, xs)
+    gx = np.asarray(g(xs), dtype=float)
     if not np.all(np.isfinite(gx)):
         raise DomainError("function not finite on the sample grid")
     if kernel.kind == KIND_MT:
@@ -136,7 +122,7 @@ def check_phi_convex(g, kernel, interval, grid_n=33, tol=1e-9):
     tphi = np.array([t * phi_eval(kernel, t) for t in ts])
     # mixture points P[i, j, k] = t_k*x_i + (1-t_k)*y_j
     P = ts[None, None, :] * xs[:, None, None] + (1.0 - ts[None, None, :]) * xs[None, :, None]
-    gp = _eval_on(g, P)
+    gp = np.asarray(g(P), dtype=float)
     rhs = tphi[None, None, :] * gx[:, None, None] + tphi[::-1][None, None, :] * gx[None, :, None]
     viol = gp - rhs
     flat_idx = int(np.argmax(viol))  # first occurrence = lexicographically smallest (x, y, t)

@@ -44,7 +44,7 @@ class DiscrepancyEntry:
     verdict: str
 
 
-def _entry(name, alpha, lam, s, p, oracle, quad_tol):
+def _entry(name, alpha, lam, s, p, oracle):
     params = EvalParams(
         Interval(0.0, 1.0), x=0.5, lam=lam, alpha=alpha,
         q=(p / (p - 1.0)) if p is not None else 1.0, p=p, s=s,
@@ -69,21 +69,21 @@ def build_ledger(alphas=(0.5, 1.0, 2.0), lams=(0.0, 0.25, 0.5, 0.75, 1.0),
         for lam in lams:
             a2 = coef_weighted(alpha, lam, constant, "A2", quad_tol=quad_tol)
             a3 = coef_weighted(alpha, lam, constant, "A3", quad_tol=quad_tol)
-            entries.append(_entry("A2C", alpha, lam, None, None, a2, quad_tol))
-            entries.append(_entry("A3C", alpha, lam, None, None, a3, quad_tol))
+            entries.append(_entry("A2C", alpha, lam, None, None, a2))
+            entries.append(_entry("A3C", alpha, lam, None, None, a3))
             for s in s_values:
                 power = PhiKernel.power(s)
                 a4 = coef_weighted(alpha, lam, power, "A2", quad_tol=quad_tol)
                 a5 = coef_weighted(alpha, lam, power, "A3", quad_tol=quad_tol)
-                entries.append(_entry("A4", alpha, lam, s, None, a4, quad_tol))
-                entries.append(_entry("A5", alpha, lam, s, None, a5, quad_tol))
+                entries.append(_entry("A4", alpha, lam, s, None, a4))
+                entries.append(_entry("A5", alpha, lam, s, None, a5))
             for p in p_values:
                 b_val = coef_b(alpha, lam, p, quad_tol=quad_tol)
                 c1 = coef_c_oracle(alpha, lam, p, "C1", quad_tol=quad_tol)
                 c2 = coef_c_oracle(alpha, lam, p, "C2", quad_tol=quad_tol)
-                entries.append(_entry("B_closed", alpha, lam, None, p, b_val, quad_tol))
-                entries.append(_entry("C1", alpha, lam, None, p, c1, quad_tol))
-                entries.append(_entry("C2", alpha, lam, None, p, c2, quad_tol))
+                entries.append(_entry("B_closed", alpha, lam, None, p, b_val))
+                entries.append(_entry("C1", alpha, lam, None, p, c1))
+                entries.append(_entry("C2", alpha, lam, None, p, c2))
     entries.sort(key=lambda e: (
         e.coefficient, e.alpha, e.lam,
         e.s if e.s is not None else -1.0,

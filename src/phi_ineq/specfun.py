@@ -1,5 +1,5 @@
 """Scalar special functions: Gamma, Beta, incomplete Beta and the Gauss
-hypergeometric function 2F1 on [0, 1].
+hypergeometric function 2F1 at z = 1.
 
 All routines are deterministic pure functions.  Gamma uses the Lanczos
 approximation (g = 7, 9 coefficients), which keeps relative error near
@@ -11,7 +11,7 @@ raises :class:`NonIntegrableError`.
 
 Every function has a ``*_detailed`` twin returning a
 :class:`SpecFunResult` carrying an error estimate and the method tag
-(``series`` / ``continued-expansion`` / ``quadrature-fallback`` /
+(``continued-expansion`` / ``quadrature-fallback`` /
 ``closed-identity``); the plain version returns only the value.
 """
 
@@ -23,16 +23,14 @@ from dataclasses import dataclass
 from .errors import DivergenceError, DomainError, NonIntegrableError, ToleranceNotMet
 from .quadrature import QuadratureSpec, integrate
 
-METHOD_SERIES = "series"
 METHOD_CONTINUED = "continued-expansion"
 METHOD_QUADRATURE = "quadrature-fallback"
 METHOD_CLOSED = "closed-identity"
 
 _METHOD_RANK = {
     METHOD_CLOSED: 0,
-    METHOD_SERIES: 1,
-    METHOD_CONTINUED: 2,
-    METHOD_QUADRATURE: 3,
+    METHOD_CONTINUED: 1,
+    METHOD_QUADRATURE: 2,
 }
 
 
@@ -51,7 +49,7 @@ class SpecFunResult:
 
 def dominant_method(*methods):
     """The most exotic method tag among the given ones (closed-identity <
-    series < continued-expansion < quadrature-fallback)."""
+    continued-expansion < quadrature-fallback)."""
     return max(methods, key=_METHOD_RANK.__getitem__)
 
 
@@ -212,61 +210,28 @@ def incomplete_beta(upper, x, y):
 
 
 def gauss_2f1_detailed(a, b, c, z):
-    """2F1(a, b; c; z) for z in [0, 1].
-
-    z = 1 is summed in closed form, Gamma(c) Gamma(c-a-b) /
-    (Gamma(c-a) Gamma(c-b)), and requires c - a - b > 0.  For z < 1 the
-    hypergeometric series is used, falling back to the Euler integral
-    representation (valid for 0 < b < c) when z is too close to 1 for the
-    series to converge quickly.
-    """
+    """2F1(a, b; c; z) at z = 1, summed in closed form by Gauss's theorem:
+    Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)), which requires
+    c - a - b > 0.  The printed C1 needs no other z."""
     a = float(a)
     b = float(b)
     c = float(c)
     z = float(z)
     if not c > 0.0:
         raise DomainError(f"2F1 requires c > 0, got c={c}")
-    if not 0.0 <= z <= 1.0:
-        raise DomainError(f"2F1 supported only for z in [0, 1], got z={z}")
-    if z == 0.0:
-        return SpecFunResult(1.0, 0.0, METHOD_SERIES)
-    if z == 1.0:
-        cab = c - a - b
-        if cab <= 0.0:
-            raise DivergenceError(
-                f"2F1 diverges at z=1 when c-a-b <= 0 (got c-a-b={cab})"
-            )
-        if c - a <= 0.0 or c - b <= 0.0:
-            raise DomainError(
-                "closed-form summation at z=1 needs c-a > 0 and c-b > 0"
-            )
-        value = math.exp(log_gamma(c) + log_gamma(cab) - log_gamma(c - a) - log_gamma(c - b))
-        return SpecFunResult(value, 4.0 * 2.2e-16 * abs(value), METHOD_CLOSED)
-    if z > 0.95 and b > 0.0 and c - b > 0.0:
-        spec = QuadratureSpec(
-            abs_tol=1e-12,
-            rel_tol=1e-11,
-            left_exponent=b - 1.0 if b < 1.0 else 0.0,
-            right_exponent=c - b - 1.0 if c - b < 1.0 else 0.0,
+    if z != 1.0:
+        raise DomainError(f"2F1 supported only at z = 1, got z={z}")
+    cab = c - a - b
+    if cab <= 0.0:
+        raise DivergenceError(
+            f"2F1 diverges at z=1 when c-a-b <= 0 (got c-a-b={cab})"
         )
-        res = integrate(
-            lambda t: t ** (b - 1.0) * (1.0 - t) ** (c - b - 1.0) * (1.0 - z * t) ** (-a),
-            0.0,
-            1.0,
-            spec,
+    if c - a <= 0.0 or c - b <= 0.0:
+        raise DomainError(
+            "closed-form summation at z=1 needs c-a > 0 and c-b > 0"
         )
-        value = res.value / beta_fn(b, c - b)
-        return SpecFunResult(value, res.err_estimate / beta_fn(b, c - b), METHOD_QUADRATURE)
-    term = 1.0
-    total = 1.0
-    for k in range(1000000):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if abs(term) <= 1e-16 * max(1.0, abs(total)):
-            ratio = abs(z) if k > max(abs(a), abs(b), abs(c)) else min(0.999, abs(z) * 2.0)
-            tail = abs(term) * ratio / (1.0 - ratio) if ratio < 1.0 else abs(term)
-            return SpecFunResult(total, tail + 1e-15 * abs(total), METHOD_SERIES)
-    raise ToleranceNotMet(f"2F1 series did not converge for ({a}, {b}, {c}, {z})")
+    value = math.exp(log_gamma(c) + log_gamma(cab) - log_gamma(c - a) - log_gamma(c - b))
+    return SpecFunResult(value, 4.0 * 2.2e-16 * abs(value), METHOD_CLOSED)
 
 
 def gauss_2f1(a, b, c, z):

@@ -14,15 +14,16 @@ quadrature tolerance to rule out integration noise.  A numerical failure
 (PhiIneqError, overflow, division by zero) becomes an ERROR report with
 the failure's message.
 
-Grids of points (:func:`sweep`, and the CLI presets through
-:func:`verify_grid`) are evaluated in stages over per-run tables, dicts
-that live for one call: each distinct J1+J2, S, |f''|^q and
-coefficient is computed once and every report is assembled from them with
-the formulas of :mod:`phi_ineq.bounds`, so it is byte for byte the report
-:func:`verify_point` would give.  Two caches outlive a run, because
-one-point callers repeat their keys across calls: the gate witnesses of
-:func:`_hypothesis_witness` and the coefficient integrals of
-:mod:`phi_ineq.coefquad`.
+Every T1/T2 verdict comes from one path, :func:`verify_grid`, which
+evaluates a product grid in stages over per-run tables, dicts that live
+for one call: each distinct J1+J2, S, |f''|^q and coefficient is computed
+once and every report is assembled from them with the formulas of
+:mod:`phi_ineq.bounds`.  The grid also does the tight re-run and the
+ERROR rows itself.  :func:`verify_point` is its one-point form and
+:func:`sweep` calls it once per function.  Two caches outlive a run,
+because one-point callers repeat their keys across calls: the gate
+witnesses of :func:`_hypothesis_witness` and the coefficient integrals
+of :mod:`phi_ineq.coefquad`.
 """
 
 from __future__ import annotations
@@ -97,8 +98,7 @@ _NUMERICAL = (PhiIneqError, OverflowError, ZeroDivisionError)
 
 def _report(base, check):
     """The report of ``check()``'s verdict fields, or an ERROR report when
-    the check fails numerically.  ``base`` is read after the check, so a
-    field the check fills in before failing reaches the ERROR report."""
+    the check fails numerically."""
     try:
         verdict = check()
     except _NUMERICAL as exc:
@@ -120,42 +120,19 @@ def _hypothesis_witness(fn, q, kernel, interval):
     return check_phi_convex(g, kernel, interval)
 
 
-def _report_s(params, kernel):
-    if kernel.kind == KIND_POWER:
-        return kernel.s
-    return params.s
-
-
 def verify_point(fn, params, kernel, theorem, *, tol=1e-9, quad_tol=1e-12, rhs_scale=1.0):
     """Check |S| against the T1 (power-mean) or T2 (Holder) bound at one
-    parameter point, gating on the phi-convexity hypothesis."""
-    if theorem not in ("T1", "T2"):
-        raise DomainError(f"verify_point handles T1/T2 only, got {theorem!r}")
-    base = dict(
-        function=fn.name, kernel=kernel.label, theorem=theorem,
-        a=params.a, b=params.b, x=params.x, lam=params.lam, alpha=params.alpha,
-        q=params.q, p=None, s=_report_s(params, kernel),
-    )
-
-    def check():
-        witness = _hypothesis_witness(fn, params.q, kernel, params.interval)
-        bound = theorem1_bound if theorem == "T1" else theorem2_bound
-        if theorem == "T2":
-            base["p"] = params.conjugate_p()
-
-        def evaluate(qt):
-            lhs = float(abs(s_functional(fn, params, quad_tol=qt)))
-            rhs = float(bound(fn, params, kernel, quad_tol=qt) * rhs_scale)
-            return lhs, rhs
-
-        lhs, rhs = evaluate(quad_tol)
-        if witness.holds and rhs - lhs < -tol:
-            lhs, rhs = evaluate(quad_tol / 10.0)
-        margin = rhs - lhs
-        return dict(lhs=lhs, rhs=rhs, margin=margin, hypothesis_ok=witness.holds,
-                    status=_status(witness.holds, margin, tol))
-
-    return _report(base, check)
+    parameter point on fn's domain, gating on the phi-convexity
+    hypothesis: the one-point :func:`verify_grid`.  p is derived from q,
+    and T2 needs q > 1."""
+    if params.interval != fn.domain:
+        raise DomainError(f"params interval {params.interval} is not fn's domain {fn.domain}")
+    if theorem == "T2" and params.q <= 1.0:
+        raise DomainError("Holder bound requires q > 1")
+    (report,) = verify_grid(fn, (kernel,), (params.q,), (params.x,), (params.lam,),
+                            (params.alpha,), (theorem,), tol=tol, quad_tol=quad_tol,
+                            rhs_scale=rhs_scale)
+    return report
 
 
 def identity_check(fn, params, *, quad_tol=1e-12):
@@ -262,17 +239,19 @@ def default_sweep_plan():
 class _Table(dict):
     """A per-run table: ``table[key]`` is ``compute(*key)``, computed on
     first use and kept for the rest of the run.  A numerical failure is
-    stored as None; every point that needs the entry then goes through
-    :func:`verify_point`, which reports the failure."""
+    stored as None, which the hot loop tests, and its exception is kept in
+    ``errors[key]`` for the ERROR report of every point that needs it."""
 
     def __init__(self, compute):
         super().__init__()
         self._compute = compute
+        self.errors = {}
 
     def __missing__(self, key):
         try:
             value = self._compute(*key)
-        except _NUMERICAL:
+        except _NUMERICAL as exc:
+            self.errors[key] = exc
             value = None
         self[key] = value
         return value
@@ -280,11 +259,13 @@ class _Table(dict):
 
 def _kernel_coefficients(kernel, quad_tol):
     """The coefficient tables of one kernel: (A1, A2, A3) per (alpha, lam)
-    for T1 and (B, M) per (alpha, lam, p) for T2."""
+    for T1 and (B, M) per (alpha, lam, p) for T2, each computed in the
+    order of :func:`theorem1_bound` / :func:`theorem2_bound`, so a failing
+    entry keeps the first failure."""
     def t1(alpha, lam):
-        return (coef_a1(alpha, lam),
-                coef_weighted(alpha, lam, kernel, "A2", quad_tol=quad_tol),
-                coef_weighted(alpha, lam, kernel, "A3", quad_tol=quad_tol))
+        a2 = coef_weighted(alpha, lam, kernel, "A2", quad_tol=quad_tol)
+        a3 = coef_weighted(alpha, lam, kernel, "A3", quad_tol=quad_tol)
+        return coef_a1(alpha, lam), a2, a3
 
     def t2(alpha, lam, p):
         return (coef_b(alpha, lam, p, quad_tol=quad_tol),
@@ -295,9 +276,10 @@ def _kernel_coefficients(kernel, quad_tol):
 
 def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
                 quad_tol=1e-12, rhs_scale=1.0, coefficient_tables=None):
-    """The :func:`verify_point` report of every point of a product grid for
-    one function, in the order of the nested loops kernel, q, x, lambda,
-    alpha, theorem; T2 points exist only where q > 1.
+    """The T1/T2 report of every point of a product grid for one function,
+    in the order of the nested loops kernel, q, x, lambda, alpha, theorem;
+    T2 points exist only where q > 1.  This is the only T1/T2 verdict
+    path: :func:`verify_point`, :func:`sweep` and the CLI all come here.
 
     The work is staged over per-run tables, dicts that live for this call:
     the gate witness per (kernel, q), J1+J2 per (x, alpha), S per (x,
@@ -306,12 +288,18 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
     function, so :func:`sweep` shares them across its functions by passing
     one ``coefficient_tables`` dict (kernel -> tables, filled here) to
     every call.  Each report is assembled with the bound formulas of
-    :mod:`phi_ineq.bounds`, so its bytes equal verify_point's.  A point
-    whose check fails numerically, or that verify_point would re-run at
-    10x tighter tolerance, is handed to verify_point itself."""
+    :mod:`phi_ineq.bounds`.
+
+    A point whose gate passes and whose margin is below ``-tol`` is
+    re-run alone at 10x tighter quadrature tolerance, through
+    :func:`s_functional` and :func:`theorem1_bound` / :func:`theorem2_bound`,
+    before its verdict is taken.  A point that fails numerically gets an
+    ERROR report with the first failure in the order gate, J1+J2, S,
+    coefficients, |f''|^q, assembly (and re-run); p is left empty when the
+    gate itself failed."""
     for theorem in theorems:
         if theorem not in ("T1", "T2"):
-            raise DomainError(f"verify_point handles T1/T2 only, got {theorem!r}")
+            raise DomainError(f"T1/T2 bounds only, got theorem {theorem!r}")
     dom = fn.domain
     a, b = dom.a, dom.b
     qs = [float(q) for q in qs]
@@ -321,12 +309,13 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
     xs = [float(x) for x in xs]
     lams = [float(lam) for lam in lams]
     alphas = [float(alpha) for alpha in alphas]
-    # every (x, lam, alpha) is checked as verify_point's EvalParams checks it
+    # every (x, lam, alpha) is checked as EvalParams checks it
     params = {(x, lam, alpha): EvalParams(dom, x=x, lam=lam, alpha=alpha)
               for x in xs for lam in lams for alpha in alphas}
     if coefficient_tables is None:
         coefficient_tables = {}
 
+    witnesses = _Table(lambda kernel, q: _hypothesis_witness(fn, q, kernel, dom))
     j_sums = _Table(lambda x, alpha: fractional_sum(fn, a, b, x, alpha, quad_tol=quad_tol))
 
     def s_value(x, lam, alpha):
@@ -338,9 +327,20 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
     s_values = _Table(s_value)
     powers = _Table(lambda x, q: f2_powers(fn, a, b, x, q))
 
-    def point_report(kernel, q, x, lam, alpha, theorem):
-        return verify_point(fn, EvalParams(dom, x=x, lam=lam, alpha=alpha, q=q), kernel,
-                            theorem, tol=tol, quad_tol=quad_tol, rhs_scale=rhs_scale)
+    def first_failure(kernel, q, x, lam, alpha, p):
+        t1_coefs, t2_coefs = coefficient_tables[kernel]
+        coefs = (t1_coefs, (alpha, lam)) if p is None else (t2_coefs, (alpha, lam, p))
+        for table, key in ((witnesses, (kernel, q)), (j_sums, (x, alpha)),
+                           (s_values, (x, lam, alpha)), coefs, (powers, (x, q))):
+            if key in table.errors:
+                return table.errors[key]
+
+    def tight_rerun(kernel, q, x, lam, alpha, t1):
+        point = EvalParams(dom, x=x, lam=lam, alpha=alpha, q=q)
+        bound = theorem1_bound if t1 else theorem2_bound
+        tight = quad_tol / 10.0
+        return (float(abs(s_functional(fn, point, quad_tol=tight))),
+                float(bound(fn, point, kernel, quad_tol=tight) * rhs_scale))
 
     reports = []
     append = reports.append
@@ -354,10 +354,7 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
             row_theorems = [t for t in theorems if t == "T1" or q > 1.0]
             if not row_theorems:
                 continue
-            try:
-                witness = _hypothesis_witness(fn, q, kernel, dom)
-            except _NUMERICAL:
-                witness = None
+            witness = witnesses[kernel, q]
             p = q / (q - 1.0) if q > 1.0 else None
             for x in xs:
                 fq = powers[x, q]
@@ -366,29 +363,39 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
                         s = s_values[x, lam, alpha]
                         for theorem in row_theorems:
                             t1 = theorem == "T1"
-                            coefs = t1_coefs[alpha, lam] if t1 else t2_coefs[alpha, lam, p]
-                            if witness is None or s is None or fq is None or coefs is None:
-                                append(point_report(kernel, q, x, lam, alpha, theorem))
+                            row_p = None if t1 else p
+                            coefs = None
+                            if witness is not None and s is not None:
+                                coefs = t1_coefs[alpha, lam] if t1 else t2_coefs[alpha, lam, p]
+                            if coefs is None or fq is None:
+                                append(BoundReport(
+                                    fn.name, label, theorem, a, b, x, lam, alpha, q,
+                                    None if witness is None else row_p, s_param,
+                                    None, None, None, False, STATUS_ERROR,
+                                    message=str(first_failure(kernel, q, x, lam, alpha, row_p)),
+                                ))
                                 continue
                             try:
                                 if t1:
                                     bound = power_mean_rhs(a, b, x, alpha, q, coefs, fq)
                                 else:
                                     bound = holder_rhs(a, b, x, alpha, q, p, coefs, fq)
-                            except _NUMERICAL:
-                                append(point_report(kernel, q, x, lam, alpha, theorem))
+                                lhs = float(abs(s))
+                                rhs = float(bound * rhs_scale)
+                                holds = witness.holds
+                                if holds and rhs - lhs < -tol:
+                                    lhs, rhs = tight_rerun(kernel, q, x, lam, alpha, t1)
+                            except _NUMERICAL as exc:
+                                append(BoundReport(
+                                    fn.name, label, theorem, a, b, x, lam, alpha, q, row_p,
+                                    s_param, None, None, None, False, STATUS_ERROR,
+                                    message=str(exc),
+                                ))
                                 continue
-                            lhs = float(abs(s))
-                            rhs = float(bound * rhs_scale)
                             margin = rhs - lhs
-                            holds = witness.holds
-                            if holds and margin < -tol:
-                                append(point_report(kernel, q, x, lam, alpha, theorem))
-                                continue
                             append(BoundReport(
-                                fn.name, label, theorem, a, b, x, lam, alpha, q,
-                                None if t1 else p, s_param, lhs, rhs, margin,
-                                holds, _status(holds, margin, tol),
+                                fn.name, label, theorem, a, b, x, lam, alpha, q, row_p,
+                                s_param, lhs, rhs, margin, holds, _status(holds, margin, tol),
                             ))
     return reports
 
@@ -398,12 +405,12 @@ def sweep(plan, *, quad_tol=1e-12, rhs_scale=1.0):
     where q > 1 (p is derived as q/(q-1)).  Reports come back sorted by
     (function, kernel, theorem, x, lambda, alpha, q).
 
-    Each function's points go through :func:`verify_grid`; the coefficient
-    tables are shared by all of them and, like verify_grid's own tables,
-    are dropped when the sweep returns.  The two caches that outlive a run
-    are the gate witnesses of :func:`_hypothesis_witness` and the
-    coefficient integrals of :mod:`phi_ineq.coefquad`, which one-point
-    callers need."""
+    Each function's points go through :func:`verify_grid`, which also
+    re-runs and reports ERROR per point; the coefficient tables are shared
+    by all functions and, like verify_grid's own tables, are dropped when
+    the sweep returns.  The two caches that outlive a run are the gate
+    witnesses of :func:`_hypothesis_witness` and the coefficient integrals
+    of :mod:`phi_ineq.coefquad`, which one-point callers need."""
     reg = registry()
     coefficient_tables = {}
     reports = []

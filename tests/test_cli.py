@@ -183,6 +183,13 @@ class TestExitCodes:
         assert main(["verify", f"--fn={fn}", "--theorem", "hh"]) == 0
         assert capsys.readouterr().out == spaced
 
+    @pytest.mark.parametrize("kernel", [[], ["--kernel", "constant"], ["--kernel", "mt"]])
+    def test_s_without_power_kernel_is_two(self, kernel, capsys):
+        # s is the power kernel's exponent; the check used to run without
+        # it and print the unused value in the s column
+        assert main(["verify", "--fn", "t^2", "--s", "0.5", *kernel]) == 2
+        assert "usage error: --s applies to --kernel power only" in capsys.readouterr().err
+
     def test_non_positive_tol_is_two(self, tmp_path, capsys):
         # t^2 at the defaults is an equality case (margin -5.6e-17), which
         # a tolerance <= 0 would report as FAIL

@@ -5,12 +5,14 @@ import math
 
 import pytest
 
-from phi_ineq.bounds import EvalParams, theorem1_bound
-from phi_ineq.convexity import PhiKernel
-from phi_ineq.errors import DomainError
+from phi_ineq import bounds, verify
+from phi_ineq.bounds import EvalParams, s_functional, theorem1_bound, theorem2_bound
+from phi_ineq.convexity import PhiKernel, check_phi_convex
+from phi_ineq.errors import DomainError, PhiIneqError
 from phi_ineq.fracint import Interval
-from phi_ineq.functions import registry
+from phi_ineq.functions import registry, resolve_function
 from phi_ineq.verify import (
+    BoundReport,
     SweepPlan,
     hermite_hadamard_check,
     identity_check,
@@ -97,6 +99,13 @@ class TestVerifyPoint:
         with pytest.raises(DomainError):
             verify_point(fn, params(fn), CONST, "HH")
 
+    def test_t2_at_q_one_raises(self):
+        # the Holder exponent p = q/(q-1) does not exist; this is a wrong
+        # call, not a numerical failure of the point
+        fn = registry()["t^2"]
+        with pytest.raises(DomainError, match="q > 1"):
+            verify_point(fn, params(fn), CONST, "T2")
+
 
 class TestIdentityCheck:
     def test_cube(self):
@@ -143,7 +152,6 @@ class TestHermiteHadamard:
         assert triple == pytest.approx((0.5, 0.5, 0.5), abs=1e-12)
 
     def test_concave_function_gated(self):
-        from phi_ineq.functions import resolve_function
         r = hermite_hadamard_check(resolve_function("-t^2"))
         assert r.status == "HYPOTHESIS_UNMET"
 
@@ -220,8 +228,40 @@ class TestSweep:
             assert r.rhs >= r.lhs - 1e-9
 
 
+def _reference_point(fn, params, kernel, theorem, *, tol=1e-9, quad_tol=1e-12, rhs_scale=1.0):
+    """The per-point assembly, kept here as the reference for the staged
+    grid: the gate, S and the bound called directly, the re-run at 10x
+    tighter tolerance, and ERROR on a numerical failure."""
+    base = dict(function=fn.name, kernel=kernel.label, theorem=theorem,
+                a=params.a, b=params.b, x=params.x, lam=params.lam, alpha=params.alpha,
+                q=params.q, p=None, s=kernel.s if kernel.kind == "power" else None)
+    bound = theorem1_bound if theorem == "T1" else theorem2_bound
+
+    def evaluate(qt):
+        lhs = float(abs(s_functional(fn, params, quad_tol=qt)))
+        return lhs, float(bound(fn, params, kernel, quad_tol=qt) * rhs_scale)
+
+    try:
+        holds = check_phi_convex(lambda u: abs(fn.f2(u)) ** params.q, kernel, fn.domain).holds
+        if theorem == "T2":
+            base["p"] = params.q / (params.q - 1.0)
+        lhs, rhs = evaluate(quad_tol)
+        if holds and rhs - lhs < -tol:
+            lhs, rhs = evaluate(quad_tol / 10.0)
+    except (PhiIneqError, OverflowError, ZeroDivisionError) as exc:
+        return BoundReport(**base, lhs=None, rhs=None, margin=None, hypothesis_ok=False,
+                           status="ERROR", message=str(exc))
+    margin = rhs - lhs
+    if not holds:
+        status = "HYPOTHESIS_UNMET"
+    else:
+        status = "PASS" if margin >= -tol else "FAIL"
+    return BoundReport(**base, lhs=lhs, rhs=rhs, margin=margin, hypothesis_ok=holds,
+                       status=status)
+
+
 def _reference_sweep(plan, *, quad_tol=1e-12, rhs_scale=1.0):
-    """The point-by-point sweep: one verify_point call per report."""
+    """The point-by-point sweep: one reference point per report."""
     reg = registry()
     reports = []
     for name in plan.function_names:
@@ -237,7 +277,7 @@ def _reference_sweep(plan, *, quad_tol=1e-12, rhs_scale=1.0):
                             for theorem in plan.theorems:
                                 if theorem == "T2" and q <= 1.0:
                                     continue
-                                reports.append(verify_point(
+                                reports.append(_reference_point(
                                     fn, p, kernel, theorem,
                                     tol=plan.tol, quad_tol=quad_tol, rhs_scale=rhs_scale,
                                 ))
@@ -245,20 +285,108 @@ def _reference_sweep(plan, *, quad_tol=1e-12, rhs_scale=1.0):
     return reports
 
 
+KERNELS = (CONST, PhiKernel.power(0.5), PhiKernel.mt())
+
+
 @pytest.mark.parametrize("rhs_scale", [1.0, 0.5])
 def test_sweep_matches_point_by_point_reference(rhs_scale):
     # PASS everywhere convex, HYPOTHESIS_UNMET for sqrt_control at q = 1,
     # FAIL (after the tight re-run) at half the bound, ERROR at alpha = 200
-    # (Gamma overflows); x = 0.5 is repeated, and lambda = -0.0 sorts level
-    # with 0.0 but prints differently, so reports are compared by repr
-    plan = SweepPlan(("t^2", "sqrt_control"), (CONST, PhiKernel.mt()),
-                     (0.0, 0.5, 0.5, 1.0), (0.0, -0.0, 0.5), (1.0, 200.0), (1.0, 2.0))
+    # (Gamma overflows) and alpha = 1e-9 (the RL weight underflows); x = 0.5
+    # is repeated, and lambda = -0.0 sorts level with 0.0 but prints
+    # differently, so reports are compared by repr
+    plan = SweepPlan(("t^2", "sqrt_control"), KERNELS,
+                     (0.0, 0.5, 0.5, 1.0), (0.0, -0.0, 0.5), (1.0, 200.0, 1e-9), (1.0, 2.0))
     reports = sweep(plan, rhs_scale=rhs_scale)
     reference = _reference_sweep(plan, rhs_scale=rhs_scale)
     assert [repr(r) for r in reports] == [repr(r) for r in reference]
     counts = sweep_summary(reports)
     assert counts["PASS"] > 0 and counts["HYPOTHESIS_UNMET"] > 0 and counts["ERROR"] > 0
     assert (counts["FAIL"] > 0) == (rhs_scale < 1.0)
+
+
+def _point_grid(quad_tol):
+    """(fn, (x, lam, alpha), kernel, rhs_scale) to compare at quad_tol.
+    At 1e-30 no quadrature meets its tolerance and each failing integral
+    runs to the subdivision limit, so that grid holds one slow point (J1+J2
+    fails) and the two that fail at once (gamma overflow, RL underflow)."""
+    pairs = ((0.5, 2.5), (0.5, 200.0), (0.5, 1e-9))
+    if quad_tol < 1e-20:
+        names, kernels, rel_x, scales = ("t^2",), (CONST,), (0.5,), (1.0,)
+    else:
+        names, kernels, rel_x, scales = (("t", "t^2", "sqrt_control", "-ln(t)"), KERNELS,
+                                         (0.0, 0.5, 1.0), (1.0, 0.5))
+        pairs += ((0.0, 1.0), (1.0, 0.5))
+    for name in names:
+        fn = registry()[name]
+        a, b = fn.domain.a, fn.domain.b
+        for kernel in kernels:
+            for xi in rel_x:
+                for lam, alpha in pairs:
+                    for rhs_scale in scales:
+                        yield fn, (a + (b - a) * xi, lam, alpha), kernel, rhs_scale
+
+
+@pytest.mark.parametrize("quad_tol", [1e-12, 1e-30])
+@pytest.mark.parametrize("theorem, q", [("T1", 1.0), ("T1", 2.0), ("T2", 2.0)])
+def test_verify_point_matches_reference(theorem, q, quad_tol):
+    # rhs_scale = 0.5 forces the tight re-run; at 1e-30 every point is an
+    # ERROR whose message is the first failure in the reference's order
+    statuses = set()
+    for fn, (x, lam, alpha), kernel, rhs_scale in _point_grid(quad_tol):
+        p = EvalParams(fn.domain, x=x, lam=lam, alpha=alpha, q=q)
+        got = verify_point(fn, p, kernel, theorem, quad_tol=quad_tol, rhs_scale=rhs_scale)
+        want = _reference_point(fn, p, kernel, theorem, quad_tol=quad_tol, rhs_scale=rhs_scale)
+        assert repr(got) == repr(want)
+        statuses.add(got.status)
+    if quad_tol == 1e-12:
+        assert {"PASS", "FAIL", "ERROR"} <= statuses
+    else:
+        assert statuses == {"ERROR"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gate_failure_leaves_p_empty():
+    # ln(t) on [0, 1]: |f''|^q is infinite at the gate's grid point t = 0
+    fn = resolve_function("ln(t)", 0.0, 1.0)
+    p = params(fn, lam=0.5, q=2.0)
+    for theorem in ("T1", "T2"):
+        got = verify_point(fn, p, CONST, theorem)
+        assert got.status == "ERROR" and got.p is None
+        assert got.message == "function not finite on the sample grid"
+        assert repr(got) == repr(_reference_point(fn, p, CONST, theorem))
+
+
+@pytest.mark.parametrize("theorem, failing, first", [
+    ("T1", ("A3", "f2_powers"), "A3"),
+    ("T1", ("A2", "A3"), "A2"),
+    ("T1", ("f2_powers",), "f2_powers"),
+    ("T2", ("B", "M"), "B"),
+    ("T2", ("M", "f2_powers"), "M"),
+])
+def test_error_names_first_failure_in_bound_order(monkeypatch, theorem, failing, first):
+    # the grid computes coefficients and |f''|^q in tables of their own;
+    # its ERROR message must still be the failure the bound meets first
+    real = {name: getattr(bounds, name)
+            for name in ("coef_weighted", "coef_b", "weight_moment", "f2_powers")}
+    label = {"coef_weighted": lambda args: args[3], "coef_b": lambda args: "B",
+             "weight_moment": lambda args: "M", "f2_powers": lambda args: "f2_powers"}
+
+    def guarded(name):
+        def call(*args, **kwargs):
+            if label[name](args) in failing:
+                raise PhiIneqError(f"{label[name](args)} failed")
+            return real[name](*args, **kwargs)
+        return call
+
+    for name in real:
+        for module in (bounds, verify):
+            monkeypatch.setattr(module, name, guarded(name))
+    fn = registry()["t^2"]
+    p = params(fn, lam=0.5, alpha=1.5, q=2.0)
+    got = verify_point(fn, p, CONST, theorem)
+    assert got.status == "ERROR" and got.message == f"{first} failed"
+    assert repr(got) == repr(_reference_point(fn, p, CONST, theorem))
 
 
 def test_corollary_preset_consistency():
