@@ -8,8 +8,9 @@ Core surface:
   and declared endpoint singularities
 * :mod:`phi_ineq.fracint` -- Riemann-Liouville fractional integrals
 * :mod:`phi_ineq.convexity` -- phi kernels and the convexity grid checker
+* :mod:`phi_ineq.coefquad` -- the coefficient integrals A1-A3, B and M
 * :mod:`phi_ineq.bounds` -- the S functional, its integral identity, the
-  coefficient oracles and the two theorem bounds
+  printed closed forms and the two theorem bounds
 * :mod:`phi_ineq.verify` -- point checks, sweeps, identity battery
 * :mod:`phi_ineq.report` -- printed-form vs oracle discrepancy ledger
 * :mod:`phi_ineq.cli` -- the ``phi-ineq`` command
@@ -18,15 +19,13 @@ Core surface:
 from .bounds import (
     EvalParams,
     coef_a1,
-    coef_a1_oracle,
-    coef_b,
-    coef_weighted,
     identity_rhs,
     printed_coefficient,
     s_functional,
     theorem1_bound,
     theorem2_bound,
 )
+from .coefquad import coef_integral
 from .convexity import ConvexityWitness, PhiKernel, check_phi_convex, phi_eval
 from .errors import (
     DivergenceError,

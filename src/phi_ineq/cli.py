@@ -104,7 +104,8 @@ def _add_common(parser):
     parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     parser.add_argument("--quad-tol", type=float, default=1e-12,
-                        help="base absolute quadrature tolerance")
+                        help="quadrature tolerance: integrals run to an absolute tolerance "
+                             "of 0.1x and a relative tolerance of 10x this value")
 
 
 def _build_parser():

@@ -9,20 +9,23 @@ one of five integrand families built from ``base(t) = t*(lam - t**alpha)``:
     B:   |base(t)| ** p
     M:   t * phi(t)
 
-Each family is handed to :func:`phi_ineq.quadrature.integrate` with the
-kink of ``|base|`` at ``lam**(1/alpha)`` as a split point and the MT
-kernel's inverse-square-root endpoint declared, so the adaptive loop never
-has to discover either.
+:func:`coef_integral` is the only way to ask for one: the theorem bounds,
+the per-run tables of :func:`phi_ineq.verify.verify_grid`, the
+discrepancy ledger (which also asks for B on [0, m] and [m, 1], the C1/C2
+split at the kink m) and the selftest all call it.  M does not depend on
+(alpha, lam); callers pass (1.0, 0.0).  Each family is handed to
+:func:`phi_ineq.quadrature.integrate` under the spec of ``quad_tol``
+(:meth:`~phi_ineq.quadrature.QuadratureSpec.for_quad_tol`), with the kink
+of ``|base|`` at ``lam**(1/alpha)`` as a split point and the MT kernel's
+inverse-square-root endpoint declared, so the adaptive loop never has to
+discover either.
 
-Every T1/T2 verdict asks once per key of the per-run tables of
-:func:`phi_ineq.verify.verify_grid` (A1-A3 per (alpha, lam, kernel), B and
-M per (alpha, lam, kernel, p)), which hold the values for one call; the
-grid's tight re-run asks again through the bound functions.  The
-process-wide cache on :func:`_cached` answers the repeats those keys leave
-(B is the same for every kernel, M for every (alpha, lam, p)) and the
-repeats across calls: ``verify_point`` is a one-point grid whose tables
-die with it, and the discrepancy ledger and the selftest ask for the same
-integrals again.
+The process-wide cache on :func:`_cached` answers the repeats the
+callers' keys leave (B is the same for every kernel, M for every
+(alpha, lam, p)) and the repeats across calls: ``verify_point`` is a
+one-point grid whose tables die with it, the grid's tight re-run asks
+through the bound functions, and the ledger and the selftest ask for the
+same integrals again.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ def _validate(family, alpha, lam, kernel, p, lo, hi):
 # 1,029 verify_point calls whose 441 T2 points need only 3 distinct M (one
 # per kernel); 438 of its 2,058 coefficient calls are answered here.
 @lru_cache(maxsize=16384)
-def _cached(family, alpha, lam, kernel, p, lo, hi, abs_tol, rel_tol, max_subdivisions):
+def _cached(family, alpha, lam, kernel, p, lo, hi, quad_tol):
     splits = []
     if family != "M" and 0.0 < lam < 1.0:
         kink = lam ** (1.0 / alpha)
@@ -91,25 +94,19 @@ def _cached(family, alpha, lam, kernel, p, lo, hi, abs_tol, rel_tol, max_subdivi
             left_e = -0.5
         if family in ("A2", "M") and hi == 1.0:
             right_e = -0.5
-    spec = QuadratureSpec(
-        abs_tol=abs_tol,
-        rel_tol=rel_tol,
-        max_subdivisions=max_subdivisions,
-        split_points=tuple(splits),
-        left_exponent=left_e,
-        right_exponent=right_e,
+    spec = QuadratureSpec.for_quad_tol(
+        quad_tol, split_points=tuple(splits), left_exponent=left_e, right_exponent=right_e,
     )
     return integrate(_integrand(family, alpha, lam, kernel, p), lo, hi, spec).value
 
 
-def coef_integral(family, alpha, lam, kernel=None, *, p=1.0, lo=0.0, hi=1.0,
-                  abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=2000):
-    """Adaptive quadrature value of one coefficient-family integral."""
+def coef_integral(family, alpha, lam, kernel=None, *, p=1.0, lo=0.0, hi=1.0, quad_tol=1e-12):
+    """Adaptive quadrature value of one coefficient-family integral over
+    [lo, hi]; A2, A3 and M need a kernel, B a positive exponent p."""
     alpha = float(alpha)
     lam = float(lam)
     p = float(p)
     lo = float(lo)
     hi = float(hi)
     _validate(family, alpha, lam, kernel, p, lo, hi)
-    return _cached(family, alpha, lam, kernel, p, lo, hi,
-                   float(abs_tol), float(rel_tol), int(max_subdivisions))
+    return _cached(family, alpha, lam, kernel, p, lo, hi, float(quad_tol))

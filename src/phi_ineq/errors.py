@@ -25,13 +25,9 @@ class DivergenceError(DomainError):
 
 
 class ToleranceNotMet(PhiIneqError, RuntimeError):
-    """Adaptive integration exhausted its subdivision budget before
-    reaching the requested tolerance."""
-
-    def __init__(self, message, value=None, err_estimate=None):
-        super().__init__(message)
-        self.value = value
-        self.err_estimate = err_estimate
+    """An iteration stopped short of its tolerance: adaptive integration
+    ran out of subdivisions or was asked for less than its rounding floor,
+    or a continued fraction stalled."""
 
 
 class NonFiniteSample(PhiIneqError, ValueError):

@@ -36,10 +36,6 @@ class Interval:
         if not self.a < self.b:
             raise DomainError(f"interval requires a < b, got [{self.a}, {self.b}]")
 
-    @property
-    def width(self):
-        return self.b - self.a
-
 
 def _kernel_weighted(integrand, length, alpha, quad_tol):
     """integral over [0, length] of ``integrand(tau)``, which is
@@ -51,11 +47,7 @@ def _kernel_weighted(integrand, length, alpha, quad_tol):
     exact in floating point (no cancellation recovering the distance),
     which keeps strongly singular orders (alpha well below 1) accurate.
     """
-    spec = QuadratureSpec(
-        abs_tol=0.1 * quad_tol,
-        rel_tol=10.0 * quad_tol,
-        left_exponent=alpha - 1.0 if alpha < 1.0 else 0.0,
-    )
+    spec = QuadratureSpec.for_quad_tol(quad_tol, left_exponent=alpha - 1.0 if alpha < 1.0 else 0.0)
     return integrate(integrand, 0.0, length, spec).value / gamma(alpha)
 
 

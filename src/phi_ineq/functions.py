@@ -119,7 +119,7 @@ class _Ln(_Expr):
         return np.log(self.arg.eval(t))
 
     def diff(self):
-        return _mul(_pow_inv(self.arg), self.arg.diff())
+        return _mul(_Inv(self.arg), self.arg.diff())
 
     def __repr__(self):
         return f"ln({self.arg})"
@@ -175,10 +175,6 @@ def _pow(base, n):
     if _is_const(base):
         return _Const(base.v ** n)
     return _Pow(base, n)
-
-
-def _pow_inv(arg):
-    return _Inv(arg)
 
 
 class _Parser:

@@ -58,6 +58,9 @@ WG = (
 )
 
 _EPS = 2.220446049250313e-16
+# No panel error estimate falls below this multiple of the panel's
+# integral of |f| (QUADPACK's roundoff bound).
+_ROUNDING_FLOOR = 50.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,14 @@ class QuadratureSpec:
         if self.left_exponent <= -1.0 or self.right_exponent <= -1.0:
             raise DomainError("endpoint exponents must exceed -1 (integrability)")
         object.__setattr__(self, "split_points", tuple(float(p) for p in self.split_points))
+
+    @classmethod
+    def for_quad_tol(cls, quad_tol, **hints):
+        """The spec of one ``--quad-tol`` value: an absolute tolerance of
+        0.1x and a relative tolerance of 10x ``quad_tol``, with the given
+        structure hints.  Every integral that a ``quad_tol`` controls is
+        built here."""
+        return cls(abs_tol=0.1 * quad_tol, rel_tol=10.0 * quad_tol, **hints)
 
 
 @dataclass(frozen=True)
@@ -225,15 +236,18 @@ def _gk15(g, a, b):
     err = abs((resk - resg) * h)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
+    err = max(err, _ROUNDING_FLOOR * resabs)
     return value, err
 
 
 def integrate(f, lo, hi, spec=None):
     """Integrate ``f`` over ``[lo, hi]`` under the given spec.
 
-    Raises ToleranceNotMet when the subdivision budget runs out and
-    NonFiniteSample when ``f`` produces nan/inf at a sample point.
+    Raises ToleranceNotMet when the subdivision budget runs out or when
+    the tolerance lies below the rounding floor (rel_tol < 50*eps and
+    abs_tol < 50*eps*|value|), which no error estimate can pass, so the
+    loop could only bisect to the budget; and NonFiniteSample when ``f``
+    produces nan/inf at a sample point.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -258,12 +272,16 @@ def integrate(f, lo, hi, spec=None):
         total_err = math.fsum(p[0] for p in panels)
         if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
             return QuadResult(total, total_err, n_bisect)
+        if spec.rel_tol < _ROUNDING_FLOOR and spec.abs_tol < _ROUNDING_FLOOR * abs(total):
+            raise ToleranceNotMet(
+                f"tolerance (abs {spec.abs_tol:.1e}, rel {spec.rel_tol:.1e}) lies below "
+                f"the rounding floor 50*eps*|value| (error estimate {total_err:.3e}, "
+                f"value {total:.6e})"
+            )
         if n_bisect >= spec.max_subdivisions:
             raise ToleranceNotMet(
                 f"needed more than {spec.max_subdivisions} subdivisions "
-                f"(error estimate {total_err:.3e}, value {total:.6e})",
-                value=total,
-                err_estimate=total_err,
+                f"(error estimate {total_err:.3e}, value {total:.6e})"
             )
         worst = max(panels, key=lambda p: (p[0], -p[1]))
         panels.remove(worst)

@@ -1,28 +1,22 @@
 """Discrepancy ledger: every printed closed-form coefficient compared
 against its quadrature oracle over a parameter grid.
 
-The oracles are the same functions the theorem bounds consume, so the
-ledger and the bounds cannot drift apart.  A printed form that requests
-an undefined quantity (the complete Beta with a negative second
-parameter, as B_closed and C2 do) is recorded as PRINTED_UNDEFINED rather
-than an error: that a formula cannot be evaluated as written is itself
-the finding.
+The oracles come from :func:`phi_ineq.coefquad.coef_integral`, the same
+function the theorem bounds consume, so the ledger and the bounds cannot
+drift apart.  A printed form that requests an undefined quantity (the
+complete Beta with a negative second parameter, as B_closed and C2 do) is
+recorded as PRINTED_UNDEFINED rather than an error: that a formula cannot
+be evaluated as written is itself the finding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import (
-    EvalParams,
-    coef_b,
-    coef_c_oracle,
-    coef_weighted,
-    printed_coefficient,
-)
+from .bounds import printed_coefficient
+from .coefquad import coef_integral
 from .convexity import PhiKernel
 from .errors import DomainError
-from .fracint import Interval
 
 AGREE_TOL = 1e-8
 
@@ -45,12 +39,8 @@ class DiscrepancyEntry:
 
 
 def _entry(name, alpha, lam, s, p, oracle):
-    params = EvalParams(
-        Interval(0.0, 1.0), x=0.5, lam=lam, alpha=alpha,
-        q=(p / (p - 1.0)) if p is not None else 1.0, p=p, s=s,
-    )
     try:
-        printed = printed_coefficient(name, params).value
+        printed = printed_coefficient(name, alpha, lam, s=s, p=p)
     except DomainError:
         return DiscrepancyEntry(name, alpha, lam, s, p, None, oracle, None, VERDICT_UNDEFINED)
     diff = abs(printed - oracle)
@@ -62,25 +52,30 @@ def build_ledger(alphas=(0.5, 1.0, 2.0), lams=(0.0, 0.25, 0.5, 0.75, 1.0),
                  s_values=(0.5, 1.0), p_values=(2.0,), *, quad_tol=1e-12):
     """One entry per (coefficient, grid point); sorted and deterministic.
     The default grid covers both lambda boundaries, where several printed
-    forms fail sanity checks."""
+    forms fail sanity checks.  The oracles of C1 and C2 are B over [0, m]
+    and [m, 1], split at the kink m = lam**(1/alpha); an empty side is 0."""
     constant = PhiKernel.constant()
     entries = []
     for alpha in alphas:
         for lam in lams:
-            a2 = coef_weighted(alpha, lam, constant, "A2", quad_tol=quad_tol)
-            a3 = coef_weighted(alpha, lam, constant, "A3", quad_tol=quad_tol)
+            a2 = coef_integral("A2", alpha, lam, constant, quad_tol=quad_tol)
+            a3 = coef_integral("A3", alpha, lam, constant, quad_tol=quad_tol)
             entries.append(_entry("A2C", alpha, lam, None, None, a2))
             entries.append(_entry("A3C", alpha, lam, None, None, a3))
             for s in s_values:
                 power = PhiKernel.power(s)
-                a4 = coef_weighted(alpha, lam, power, "A2", quad_tol=quad_tol)
-                a5 = coef_weighted(alpha, lam, power, "A3", quad_tol=quad_tol)
+                a4 = coef_integral("A2", alpha, lam, power, quad_tol=quad_tol)
+                a5 = coef_integral("A3", alpha, lam, power, quad_tol=quad_tol)
                 entries.append(_entry("A4", alpha, lam, s, None, a4))
                 entries.append(_entry("A5", alpha, lam, s, None, a5))
+            m = lam ** (1.0 / alpha) if lam > 0.0 else 0.0
             for p in p_values:
-                b_val = coef_b(alpha, lam, p, quad_tol=quad_tol)
-                c1 = coef_c_oracle(alpha, lam, p, "C1", quad_tol=quad_tol)
-                c2 = coef_c_oracle(alpha, lam, p, "C2", quad_tol=quad_tol)
+                b_val = coef_integral("B", alpha, lam, p=p, quad_tol=quad_tol)
+                c1 = c2 = 0.0
+                if m > 0.0:
+                    c1 = coef_integral("B", alpha, lam, p=p, hi=m, quad_tol=quad_tol)
+                if m < 1.0:
+                    c2 = coef_integral("B", alpha, lam, p=p, lo=m, quad_tol=quad_tol)
                 entries.append(_entry("B_closed", alpha, lam, None, p, b_val))
                 entries.append(_entry("C1", alpha, lam, None, p, c1))
                 entries.append(_entry("C2", alpha, lam, None, p, c2))

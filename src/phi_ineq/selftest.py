@@ -13,15 +13,8 @@ from __future__ import annotations
 import math
 import random
 
-from .bounds import (
-    EvalParams,
-    coef_a1,
-    coef_a1_oracle,
-    coef_weighted,
-    identity_rhs,
-    s_functional,
-    theorem1_bound,
-)
+from .bounds import EvalParams, coef_a1, identity_rhs, s_functional, theorem1_bound
+from .coefquad import coef_integral
 from .convexity import PhiKernel
 from .fracint import rl_left, rl_right
 from .functions import SMOOTH_BATTERY, registry
@@ -152,10 +145,10 @@ def section_coefficient_grid():
     for alpha in COEFF_GRID_ALPHAS:
         for lam in COEFF_GRID_LAMS:
             a1c = coef_a1(alpha, lam)
-            a1o = coef_a1_oracle(alpha, lam)
+            a1o = coef_integral("A1", alpha, lam)
             worst_a1 = max(worst_a1, abs(a1c - a1o))
-            a2 = coef_weighted(alpha, lam, k, "A2")
-            a3 = coef_weighted(alpha, lam, k, "A3")
+            a2 = coef_integral("A2", alpha, lam, k)
+            a3 = coef_integral("A3", alpha, lam, k)
             worst_id = max(worst_id, abs(a3 - (a1o - a2)))
     if worst_a1 > 1e-10:
         return False, f"A1 closed-vs-oracle residual {worst_a1:.2e} > 1e-10"

@@ -27,11 +27,7 @@ METHOD_CONTINUED = "continued-expansion"
 METHOD_QUADRATURE = "quadrature-fallback"
 METHOD_CLOSED = "closed-identity"
 
-_METHOD_RANK = {
-    METHOD_CLOSED: 0,
-    METHOD_CONTINUED: 1,
-    METHOD_QUADRATURE: 2,
-}
+_METHODS = (METHOD_CLOSED, METHOD_CONTINUED, METHOD_QUADRATURE)
 
 
 @dataclass(frozen=True)
@@ -41,16 +37,10 @@ class SpecFunResult:
     method: str
 
     def __post_init__(self):
-        if self.method not in _METHOD_RANK:
+        if self.method not in _METHODS:
             raise DomainError(f"unknown method tag {self.method!r}")
         if not self.abs_err_estimate >= 0.0:
             raise DomainError("abs_err_estimate must be nonnegative")
-
-
-def dominant_method(*methods):
-    """The most exotic method tag among the given ones (closed-identity <
-    continued-expansion < quadrature-fallback)."""
-    return max(methods, key=_METHOD_RANK.__getitem__)
 
 
 # Lanczos g = 7 coefficients.

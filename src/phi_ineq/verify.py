@@ -34,8 +34,6 @@ from functools import lru_cache
 from .bounds import (
     EvalParams,
     coef_a1,
-    coef_b,
-    coef_weighted,
     f2_powers,
     fractional_sum,
     holder_rhs,
@@ -44,14 +42,13 @@ from .bounds import (
     s_functional,
     theorem1_bound,
     theorem2_bound,
-    weight_moment,
 )
+from .coefquad import coef_integral
 from .convexity import KIND_POWER, PhiKernel, check_phi_convex
 from .errors import DomainError, PhiIneqError
 from .functions import registry
 from .quadrature import QuadratureSpec, integrate
 
-THEOREMS = ("T1", "T2", "HH", "LEMMA1")
 STATUS_PASS = "PASS"
 STATUS_FAIL = "FAIL"
 STATUS_HYPOTHESIS = "HYPOTHESIS_UNMET"
@@ -168,7 +165,7 @@ def hermite_hadamard_check(fn, *, quad_tol=1e-12):
     def check():
         witness = check_phi_convex(fn.f, PhiKernel.constant(), fn.domain)
         mid = float(fn.f(0.5 * (a + b)))
-        res = integrate(fn.f, a, b, QuadratureSpec(abs_tol=0.1 * quad_tol, rel_tol=10.0 * quad_tol))
+        res = integrate(fn.f, a, b, QuadratureSpec.for_quad_tol(quad_tol))
         mean = res.value / (b - a)
         end_avg = float(0.5 * (fn.f(a) + fn.f(b)))
         margin = min(mean - mid, end_avg - mean)
@@ -263,13 +260,13 @@ def _kernel_coefficients(kernel, quad_tol):
     order of :func:`theorem1_bound` / :func:`theorem2_bound`, so a failing
     entry keeps the first failure."""
     def t1(alpha, lam):
-        a2 = coef_weighted(alpha, lam, kernel, "A2", quad_tol=quad_tol)
-        a3 = coef_weighted(alpha, lam, kernel, "A3", quad_tol=quad_tol)
+        a2 = coef_integral("A2", alpha, lam, kernel, quad_tol=quad_tol)
+        a3 = coef_integral("A3", alpha, lam, kernel, quad_tol=quad_tol)
         return coef_a1(alpha, lam), a2, a3
 
     def t2(alpha, lam, p):
-        return (coef_b(alpha, lam, p, quad_tol=quad_tol),
-                weight_moment(kernel, quad_tol=quad_tol))
+        return (coef_integral("B", alpha, lam, p=p, quad_tol=quad_tol),
+                coef_integral("M", 1.0, 0.0, kernel, quad_tol=quad_tol))
 
     return _Table(t1), _Table(t2)
 

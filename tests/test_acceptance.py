@@ -11,8 +11,9 @@ import time
 
 import pytest
 
-from phi_ineq.bounds import coef_a1, coef_a1_oracle, coef_weighted
+from phi_ineq.bounds import coef_a1
 from phi_ineq.cli import main
+from phi_ineq.coefquad import coef_integral
 from phi_ineq.convexity import PhiKernel
 from phi_ineq.fracint import rl_left, rl_right
 from phi_ineq.functions import registry
@@ -56,10 +57,10 @@ def test_c3_coefficient_oracles():
     worst_a1 = worst_identity = 0.0
     for alpha in (0.5, 1.0, 2.0, 3.5):
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-            a1o = coef_a1_oracle(alpha, lam)
+            a1o = coef_integral("A1", alpha, lam)
             worst_a1 = max(worst_a1, abs(coef_a1(alpha, lam) - a1o))
-            a2 = coef_weighted(alpha, lam, CONST, "A2")
-            a3 = coef_weighted(alpha, lam, CONST, "A3")
+            a2 = coef_integral("A2", alpha, lam, CONST)
+            a3 = coef_integral("A3", alpha, lam, CONST)
             worst_identity = max(worst_identity, abs(a3 - (a1o - a2)))
     assert worst_a1 <= 1e-10
     assert worst_identity <= 1e-10

@@ -10,21 +10,20 @@ import pytest
 from phi_ineq.bounds import (
     EvalParams,
     coef_a1,
-    coef_a1_oracle,
-    coef_b,
-    coef_c_oracle,
-    coef_weighted,
+    f2_powers,
+    holder_rhs,
     identity_rhs,
     printed_coefficient,
     s_functional,
     theorem1_bound,
     theorem2_bound,
-    weight_moment,
 )
+from phi_ineq.coefquad import coef_integral
 from phi_ineq.convexity import PhiKernel
 from phi_ineq.errors import DomainError
 from phi_ineq.fracint import Interval
 from phi_ineq.functions import registry
+from phi_ineq.report import build_ledger, find_entry
 
 UNIT = Interval(0.0, 1.0)
 CONST = PhiKernel.constant()
@@ -34,8 +33,8 @@ GRID_ALPHAS = (0.5, 1.0, 2.0, 3.5)
 GRID_LAMS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def params(x=0.5, lam=0.0, alpha=1.0, q=1.0, p=None, s=None, interval=UNIT):
-    return EvalParams(interval, x=x, lam=lam, alpha=alpha, q=q, p=p, s=s)
+def params(x=0.5, lam=0.0, alpha=1.0, q=1.0, interval=UNIT):
+    return EvalParams(interval, x=x, lam=lam, alpha=alpha, q=q)
 
 
 class TestEvalParams:
@@ -48,17 +47,6 @@ class TestEvalParams:
             params(alpha=0.0)
         with pytest.raises(DomainError):
             params(q=0.5)
-        with pytest.raises(DomainError):
-            params(s=0.0)
-        with pytest.raises(DomainError):
-            params(q=2.0, p=3.0)  # not conjugate
-
-    def test_conjugate_p(self):
-        assert params(q=2.0).conjugate_p() == pytest.approx(2.0)
-        assert params(q=3.0).conjugate_p() == pytest.approx(1.5)
-        assert params(q=2.0, p=2.0).conjugate_p() == 2.0
-        with pytest.raises(DomainError):
-            params(q=1.0).conjugate_p()
 
 
 class TestSFunctional:
@@ -106,48 +94,52 @@ class TestCoefficients:
         for alpha in GRID_ALPHAS:
             for lam in GRID_LAMS:
                 assert coef_a1(alpha, lam) == pytest.approx(
-                    coef_a1_oracle(alpha, lam), abs=1e-10)
+                    coef_integral("A1", alpha, lam), abs=1e-10)
 
     def test_weighted_values(self):
-        assert coef_weighted(1.0, 0.0, CONST, "A2") == pytest.approx(0.25, abs=1e-12)
-        assert coef_weighted(1.0, 1.0, CONST, "A2") == pytest.approx(1.0 / 12.0, abs=1e-12)
-        assert coef_weighted(1.0, 1.0, CONST, "A3") == pytest.approx(1.0 / 12.0, abs=1e-12)
+        assert coef_integral("A2", 1.0, 0.0, CONST) == pytest.approx(0.25, abs=1e-12)
+        assert coef_integral("A2", 1.0, 1.0, CONST) == pytest.approx(1.0 / 12.0, abs=1e-12)
+        assert coef_integral("A3", 1.0, 1.0, CONST) == pytest.approx(1.0 / 12.0, abs=1e-12)
 
     def test_a3_identity_on_grid(self):
         # pointwise algebra: |t(lam-t^a)|(1-t) = |t(lam-t^a)| - |t(lam-t^a)|t
         for alpha in GRID_ALPHAS:
             for lam in GRID_LAMS:
-                a1 = coef_a1_oracle(alpha, lam)
-                a2 = coef_weighted(alpha, lam, CONST, "A2")
-                a3 = coef_weighted(alpha, lam, CONST, "A3")
+                a1 = coef_integral("A1", alpha, lam)
+                a2 = coef_integral("A2", alpha, lam, CONST)
+                a3 = coef_integral("A3", alpha, lam, CONST)
                 assert a3 == pytest.approx(a1 - a2, abs=1e-10)
 
     def test_coef_b_values(self):
-        assert coef_b(1.0, 0.0, 2.0) == pytest.approx(0.2, abs=1e-12)
-        assert coef_b(1.0, 1.0, 2.0) == pytest.approx(1.0 / 30.0, abs=1e-12)
-        assert coef_b(1.0, 0.5, 2.0) == pytest.approx(1.0 / 30.0, abs=1e-12)
+        assert coef_integral("B", 1.0, 0.0, p=2.0) == pytest.approx(0.2, abs=1e-12)
+        assert coef_integral("B", 1.0, 1.0, p=2.0) == pytest.approx(1.0 / 30.0, abs=1e-12)
+        assert coef_integral("B", 1.0, 0.5, p=2.0) == pytest.approx(1.0 / 30.0, abs=1e-12)
 
     def test_coef_b_splits_into_c1_c2(self):
+        # the ledger's C1/C2 oracles split B at the kink, an empty side
+        # (lam = 0 or 1) counting 0
+        ledger = build_ledger()
         for alpha in (0.5, 1.0, 2.0):
             for lam in GRID_LAMS:
-                total = coef_b(alpha, lam, 2.0)
-                c1 = coef_c_oracle(alpha, lam, 2.0, "C1")
-                c2 = coef_c_oracle(alpha, lam, 2.0, "C2")
+                total = coef_integral("B", alpha, lam, p=2.0)
+                c1 = find_entry(ledger, "C1", alpha, lam, p=2.0).oracle
+                c2 = find_entry(ledger, "C2", alpha, lam, p=2.0).oracle
                 assert total == pytest.approx(c1 + c2, abs=1e-10)
 
     def test_weight_moments(self):
-        assert weight_moment(CONST) == pytest.approx(0.5, abs=1e-12)
-        assert weight_moment(PhiKernel.power(0.5)) == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert weight_moment(MT) == pytest.approx(math.pi / 4.0, abs=1e-12)
+        assert coef_integral("M", 1.0, 0.0, CONST) == pytest.approx(0.5, abs=1e-12)
+        assert coef_integral("M", 1.0, 0.0, PhiKernel.power(0.5)) == pytest.approx(
+            2.0 / 3.0, abs=1e-12)
+        assert coef_integral("M", 1.0, 0.0, MT) == pytest.approx(math.pi / 4.0, abs=1e-12)
 
     def test_oracles_nonnegative(self):
         for alpha in GRID_ALPHAS:
             for lam in GRID_LAMS:
-                assert coef_a1_oracle(alpha, lam) >= 0.0
+                assert coef_integral("A1", alpha, lam) >= 0.0
                 for kernel in (CONST, PhiKernel.power(0.5), MT):
-                    assert coef_weighted(alpha, lam, kernel, "A2") >= 0.0
-                    assert coef_weighted(alpha, lam, kernel, "A3") >= 0.0
-                assert coef_b(alpha, lam, 2.0) >= 0.0
+                    assert coef_integral("A2", alpha, lam, kernel) >= 0.0
+                    assert coef_integral("A3", alpha, lam, kernel) >= 0.0
+                assert coef_integral("B", alpha, lam, p=2.0) >= 0.0
 
 
 class TestTheorem1:
@@ -182,14 +174,14 @@ class TestTheorem1:
 class TestTheorem2:
     def test_constant_kernel_value(self):
         fn = registry()["t^2"]
-        p = params(q=2.0, p=2.0)
+        p = params(q=2.0)
         assert theorem2_bound(fn, p, CONST) == pytest.approx(
             math.sqrt(0.2) * 0.5, abs=1e-10)
         assert abs(s_functional(fn, p)) <= theorem2_bound(fn, p, CONST)
 
     def test_mt_kernel_value(self):
         fn = registry()["t^2"]
-        p = params(q=2.0, p=2.0)
+        p = params(q=2.0)
         assert theorem2_bound(fn, p, MT) == pytest.approx(
             math.sqrt(0.2) * 0.25 * math.sqrt(2.0 * math.pi), abs=1e-10)
 
@@ -203,6 +195,15 @@ class TestTheorem2:
         with pytest.raises(DomainError):
             theorem2_bound(registry()["t^2"], params(q=1.0), CONST)
 
+    def test_uses_the_conjugate_exponent(self):
+        # q = 3 gives p = 3/2 in B and in the prefactor's root
+        fn = registry()["exp(t)"]
+        x, lam, alpha, q = 0.3, 0.4, 1.7, 3.0
+        coefs = (coef_integral("B", alpha, lam, p=1.5), coef_integral("M", 1.0, 0.0, MT))
+        want = holder_rhs(0.0, 1.0, x, alpha, q, 1.5, coefs, f2_powers(fn, 0.0, 1.0, x, q))
+        got = theorem2_bound(fn, params(x=x, lam=lam, alpha=alpha, q=q), MT)
+        assert got == pytest.approx(want, rel=1e-14)
+
     def test_power_one_reduces_to_constant(self):
         fn = registry()["t^4"]
         p = params(x=0.6, lam=0.2, alpha=0.8, q=2.0)
@@ -212,56 +213,49 @@ class TestTheorem2:
 
 class TestPrintedCoefficients:
     def test_a2c_agrees_with_oracle(self):
-        r = printed_coefficient("A2C", params(lam=1.0))
-        assert r.value == pytest.approx(1.0 / 12.0, abs=1e-14)
-        assert r.method == "closed-identity"
+        assert printed_coefficient("A2C", 1.0, 1.0) == pytest.approx(1.0 / 12.0, abs=1e-14)
         for alpha in GRID_ALPHAS:
             for lam in GRID_LAMS:
-                got = printed_coefficient("A2C", params(lam=lam, alpha=alpha)).value
-                assert got == pytest.approx(
-                    coef_weighted(alpha, lam, CONST, "A2"), abs=1e-10)
+                assert printed_coefficient("A2C", alpha, lam) == pytest.approx(
+                    coef_integral("A2", alpha, lam, CONST), abs=1e-10)
 
     def test_a3c_disagrees_as_printed(self):
-        assert printed_coefficient("A3C", params(lam=1.0)).value == pytest.approx(0.25, abs=1e-14)
-        assert printed_coefficient("A3C", params(lam=0.0)).value == pytest.approx(-1.0 / 12.0, abs=1e-14)
+        assert printed_coefficient("A3C", 1.0, 1.0) == pytest.approx(0.25, abs=1e-14)
+        assert printed_coefficient("A3C", 1.0, 0.0) == pytest.approx(-1.0 / 12.0, abs=1e-14)
         # the oracle value is +1/12 at both sanity points
-        assert coef_weighted(1.0, 0.0, CONST, "A3") == pytest.approx(1.0 / 12.0, abs=1e-10)
+        assert coef_integral("A3", 1.0, 0.0, CONST) == pytest.approx(1.0 / 12.0, abs=1e-10)
 
     def test_a4_printed_vs_oracle(self):
-        r = printed_coefficient("A4", params(lam=1.0, s=1.0))
-        assert r.value == pytest.approx(5.0 / 12.0, abs=1e-14)
-        oracle = coef_weighted(1.0, 1.0, PhiKernel.power(1.0), "A2")
+        assert printed_coefficient("A4", 1.0, 1.0, s=1.0) == pytest.approx(5.0 / 12.0, abs=1e-14)
+        oracle = coef_integral("A2", 1.0, 1.0, PhiKernel.power(1.0))
         assert oracle == pytest.approx(1.0 / 12.0, abs=1e-10)
 
     def test_a5_boundary_agreement_interior_disagreement(self):
         power1 = PhiKernel.power(1.0)
         for lam in (0.0, 1.0):
-            printed = printed_coefficient("A5", params(lam=lam, s=1.0)).value
-            oracle = coef_weighted(1.0, lam, power1, "A3")
+            printed = printed_coefficient("A5", 1.0, lam, s=1.0)
+            oracle = coef_integral("A3", 1.0, lam, power1)
             assert printed == pytest.approx(oracle, abs=1e-10)
-        interior = printed_coefficient("A5", params(lam=0.5, s=1.0)).value
+        interior = printed_coefficient("A5", 1.0, 0.5, s=1.0)
         assert interior == pytest.approx(0.0, abs=1e-12)
-        assert coef_weighted(1.0, 0.5, power1, "A3") == pytest.approx(1.0 / 32.0, abs=1e-10)
+        assert coef_integral("A3", 1.0, 0.5, power1) == pytest.approx(1.0 / 32.0, abs=1e-10)
 
     def test_c1_printed_vs_oracle(self):
-        p = params(lam=1.0, q=2.0, p=2.0)
-        r = printed_coefficient("C1", p)
-        assert r.value == pytest.approx(24.0, rel=1e-10)
-        assert r.method == "closed-identity"
-        assert coef_c_oracle(1.0, 1.0, 2.0, "C1") == pytest.approx(1.0 / 30.0, abs=1e-10)
+        assert printed_coefficient("C1", 1.0, 1.0, p=2.0) == pytest.approx(24.0, rel=1e-10)
+        oracle = find_entry(build_ledger(), "C1", 1.0, 1.0, p=2.0).oracle
+        assert oracle == pytest.approx(1.0 / 30.0, abs=1e-10)
         # at lam = 0 the printed prefactor vanishes and both sides are 0
-        assert printed_coefficient("C1", params(lam=0.0, q=2.0, p=2.0)).value == 0.0
+        assert printed_coefficient("C1", 1.0, 0.0, p=2.0) == 0.0
 
     def test_c2_and_b_closed_are_undefined(self):
-        p = params(lam=1.0, q=2.0, p=2.0)
         for name in ("C2", "B_closed"):
             with pytest.raises(DomainError):
-                printed_coefficient(name, p)
+                printed_coefficient(name, 1.0, 1.0, p=2.0)
 
     def test_requires_parameters(self):
         with pytest.raises(DomainError):
-            printed_coefficient("A4", params())  # no s
+            printed_coefficient("A4", 1.0, 0.0)  # no s
         with pytest.raises(DomainError):
-            printed_coefficient("C1", params())  # q = 1, no p
+            printed_coefficient("C1", 1.0, 0.0)  # no p
         with pytest.raises(DomainError):
-            printed_coefficient("A7", params())
+            printed_coefficient("A7", 1.0, 0.0)

@@ -1,5 +1,6 @@
 """Coefficient-family integrals against closed forms at lam = 0, where
-|t*(lam - t**alpha)| = t**(alpha+1) has no kink, plus argument validation."""
+|t*(lam - t**alpha)| = t**(alpha+1) has no kink, against mpmath at an
+interior lam, where it has one, plus argument validation."""
 
 import math
 
@@ -50,6 +51,40 @@ def test_m_closed_forms():
     for s in (0.25, 0.5, 1.0):
         got = coef_integral("M", 1.0, 0.0, PhiKernel.power(s))
         assert got == pytest.approx(1.0 / (s + 1.0), rel=1e-11)
+
+
+ORACLE_CASES = (
+    [("A1", None, 1.0)]
+    + [(family, kernel, 1.0) for family in ("A2", "A3", "M")
+       for kernel in (CONST, PhiKernel.power(0.5), MT)]
+    + [("B", None, p) for p in (1.5, 3.0)]
+)
+
+
+@pytest.mark.parametrize("alpha, lam", ((0.6, 0.3), (2.5, 0.7)))
+@pytest.mark.parametrize("family, kernel, p", ORACLE_CASES)
+def test_against_mpmath_at_an_interior_lambda(family, kernel, p, alpha, lam):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    a, l, pe = mp.mpf(alpha), mp.mpf(lam), mp.mpf(p)
+    if kernel is None or kernel.kind == "constant":
+        phi = lambda t: mp.mpf(1)
+    elif kernel.kind == "power":
+        phi = lambda t: t ** (mp.mpf(kernel.s) - 1)
+    else:
+        phi = lambda t: 1 / (2 * mp.sqrt(t) * mp.sqrt(1 - t))
+    base = lambda t: abs(t * (l - t ** a))
+    integrand = {
+        "A1": base,
+        "A2": lambda t: base(t) * t * phi(t),
+        "A3": lambda t: base(t) * (1 - t) * phi(1 - t),
+        "B": lambda t: base(t) ** pe,
+        "M": lambda t: t * phi(t),
+    }[family]
+    with mp.workdps(30):
+        want = float(mp.quad(integrand, [0, l ** (1 / a), 1]))
+    got = coef_integral(family, alpha, lam, kernel, p=p)
+    assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
 
 
 def test_unknown_family_rejected():

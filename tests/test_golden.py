@@ -1,7 +1,10 @@
 """Golden outputs: the sha256 of stdout for the default sweep, a
 20,790-point sweep, the discrepancy ledger, the selftest and a set of
 verify commands that reach every theorem, kernel and preset, in both
-formats where there are two.
+formats where there are two.  The ledger and one verify command per
+theorem also run at ``--quad-tol 1e-9``, where their bytes differ from
+those at the default 1e-12, so a tolerance lost on its way to an
+integral shows.
 
 Same-process reruns are checked for byte-identity elsewhere; these digests
 catch drift between versions of the code.  A change that alters any of
@@ -34,6 +37,19 @@ GOLDEN = {
         "00fcc48bbbab1be1d8088afdc0030b7bdd43eeefa3455a344bd0fa5fdac2d3b3",
     "verify --fn=2*t^4-t --kernel power --s 0.5 --q 1.5 --x 0.3 --lambda 0.4 --alpha 0.7":
         "2e315c69b237b2e42d2884c0e43b5c3b51c1e2f7f27371942627914569911a00",
+    "coeffs --quad-tol 1e-9":
+        "abad2eb34da13bdac2091944892537dfd7c8bfddf918ce60f3a07b8f64673b46",
+    "verify --fn=2*t^4-t --kernel power --s 0.5 --q 1.5 --x 0.3 --lambda 0.4 --alpha 0.7 "
+    "--quad-tol 1e-9":
+        "45519ea73591fb53438bbfa37f3d9cd653578e5ae530d5238dc325daf48baa8c",
+    "verify --fn t^2 --theorem t2 --q 2 --kernel mt --format json --quad-tol 1e-9":
+        "2e4e9bebecb6fccfc4b4418ebfa6bcfb64b96fae7d63f3add47cdddd93280599",
+    "verify --fn=-ln(t) --theorem lemma1 --x 0.8 --lambda 0.7 --alpha 2.5 --format json "
+    "--quad-tol 1e-9":
+        "8d5b7af55e2797010088fa48b0346fa90602d5b167c56c5f385bb9625fccd68c",
+    # exp(t)'s hh bytes are the same at 1e-9 and 1e-12; sqrt_control's are not
+    "verify --fn sqrt_control --theorem hh --format json --quad-tol 1e-9":
+        "113f157d2c6d92565e7520c0d3086b1594e38d25d4274958ac93e58bd4b4d40e",
 }
 
 

@@ -111,6 +111,32 @@ def test_tolerance_not_met():
         integrate(lambda t: math.exp(t), 0.0, 1.0, spec)
 
 
+def test_tolerance_below_rounding_floor_stops_at_once():
+    # no panel error falls below 50*eps times its integral of |f|, so this
+    # tolerance can never be met; the engine must say so, not bisect on
+    evals = 0
+
+    def f(t):
+        nonlocal evals
+        evals += 1
+        return t * t
+
+    with pytest.raises(ToleranceNotMet, match="rounding floor"):
+        integrate(f, 0.0, 1.0, QuadratureSpec(abs_tol=1e-31, rel_tol=1e-31))
+    assert evals < 100
+
+
+def test_zero_integrand_meets_any_tolerance():
+    res = integrate(lambda t: 0.0, 0.0, 1.0, QuadratureSpec(abs_tol=1e-31, rel_tol=1e-31))
+    assert res.value == 0.0 and res.subdivisions_used == 0
+
+
+def test_spec_for_quad_tol():
+    spec = QuadratureSpec.for_quad_tol(1e-9, split_points=(0.5,), left_exponent=-0.5)
+    assert (spec.abs_tol, spec.rel_tol) == (0.1 * 1e-9, 10.0 * 1e-9)
+    assert spec.split_points == (0.5,) and spec.left_exponent == -0.5
+
+
 def test_non_finite_sample():
     with pytest.raises(NonFiniteSample):
         integrate(lambda t: 1.0 / (t - 0.5) if t != 0.5 else float("inf"), 0.49999, 0.50001)

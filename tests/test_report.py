@@ -3,7 +3,7 @@ correct build must reproduce."""
 
 import pytest
 
-from phi_ineq.bounds import coef_b, coef_weighted
+from phi_ineq.coefquad import coef_integral
 from phi_ineq.convexity import PhiKernel
 from phi_ineq.report import build_ledger, find_entry
 from phi_ineq.selftest import expected_findings
@@ -79,9 +79,9 @@ def test_c1_verdicts(ledger):
 def test_oracles_are_single_source_of_truth(ledger):
     constant = PhiKernel.constant()
     e = find_entry(ledger, "A2C", 1.0, 1.0)
-    assert e.oracle == coef_weighted(1.0, 1.0, constant, "A2")
+    assert e.oracle == coef_integral("A2", 1.0, 1.0, constant)
     e = find_entry(ledger, "B_closed", 2.0, 0.5, p=2.0)
-    assert e.oracle == coef_b(2.0, 0.5, 2.0)
+    assert e.oracle == coef_integral("B", 2.0, 0.5, p=2.0)
 
 
 def test_expected_findings_all_reproduced(ledger):

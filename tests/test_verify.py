@@ -305,35 +305,27 @@ def test_sweep_matches_point_by_point_reference(rhs_scale):
     assert (counts["FAIL"] > 0) == (rhs_scale < 1.0)
 
 
-def _point_grid(quad_tol):
-    """(fn, (x, lam, alpha), kernel, rhs_scale) to compare at quad_tol.
-    At 1e-30 no quadrature meets its tolerance and each failing integral
-    runs to the subdivision limit, so that grid holds one slow point (J1+J2
-    fails) and the two that fail at once (gamma overflow, RL underflow)."""
-    pairs = ((0.5, 2.5), (0.5, 200.0), (0.5, 1e-9))
-    if quad_tol < 1e-20:
-        names, kernels, rel_x, scales = ("t^2",), (CONST,), (0.5,), (1.0,)
-    else:
-        names, kernels, rel_x, scales = (("t", "t^2", "sqrt_control", "-ln(t)"), KERNELS,
-                                         (0.0, 0.5, 1.0), (1.0, 0.5))
-        pairs += ((0.0, 1.0), (1.0, 0.5))
-    for name in names:
+def _point_grid():
+    """(fn, (x, lam, alpha), kernel, rhs_scale) to compare."""
+    pairs = ((0.5, 2.5), (0.5, 200.0), (0.5, 1e-9), (0.0, 1.0), (1.0, 0.5))
+    for name in ("t", "t^2", "sqrt_control", "-ln(t)"):
         fn = registry()[name]
         a, b = fn.domain.a, fn.domain.b
-        for kernel in kernels:
-            for xi in rel_x:
+        for kernel in KERNELS:
+            for xi in (0.0, 0.5, 1.0):
                 for lam, alpha in pairs:
-                    for rhs_scale in scales:
+                    for rhs_scale in (1.0, 0.5):
                         yield fn, (a + (b - a) * xi, lam, alpha), kernel, rhs_scale
 
 
 @pytest.mark.parametrize("quad_tol", [1e-12, 1e-30])
 @pytest.mark.parametrize("theorem, q", [("T1", 1.0), ("T1", 2.0), ("T2", 2.0)])
 def test_verify_point_matches_reference(theorem, q, quad_tol):
-    # rhs_scale = 0.5 forces the tight re-run; at 1e-30 every point is an
-    # ERROR whose message is the first failure in the reference's order
+    # rhs_scale = 0.5 forces the tight re-run; 1e-30 lies below the
+    # quadrature's rounding floor, so there every point is an ERROR whose
+    # message is the first failure in the reference's order
     statuses = set()
-    for fn, (x, lam, alpha), kernel, rhs_scale in _point_grid(quad_tol):
+    for fn, (x, lam, alpha), kernel, rhs_scale in _point_grid():
         p = EvalParams(fn.domain, x=x, lam=lam, alpha=alpha, q=q)
         got = verify_point(fn, p, kernel, theorem, quad_tol=quad_tol, rhs_scale=rhs_scale)
         want = _reference_point(fn, p, kernel, theorem, quad_tol=quad_tol, rhs_scale=rhs_scale)
@@ -367,10 +359,8 @@ def test_gate_failure_leaves_p_empty():
 def test_error_names_first_failure_in_bound_order(monkeypatch, theorem, failing, first):
     # the grid computes coefficients and |f''|^q in tables of their own;
     # its ERROR message must still be the failure the bound meets first
-    real = {name: getattr(bounds, name)
-            for name in ("coef_weighted", "coef_b", "weight_moment", "f2_powers")}
-    label = {"coef_weighted": lambda args: args[3], "coef_b": lambda args: "B",
-             "weight_moment": lambda args: "M", "f2_powers": lambda args: "f2_powers"}
+    real = {name: getattr(bounds, name) for name in ("coef_integral", "f2_powers")}
+    label = {"coef_integral": lambda args: args[0], "f2_powers": lambda args: "f2_powers"}
 
     def guarded(name):
         def call(*args, **kwargs):
