@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coefquad import coef_integral
+from .coefquad import coef_integral, kink, kink_splits
 from .errors import DomainError
 from .fracint import Interval, rl_left, rl_right
 from .quadrature import QuadratureSpec, integrate
@@ -104,8 +104,7 @@ def identity_rhs(fn, params, *, quad_tol=1e-12):
     a, b = params.a, params.b
     x, lam, alpha = params.x, params.lam, params.alpha
     w = b - a
-    kinks = (lam ** (1.0 / alpha),) if 0.0 < lam < 1.0 else ()
-    spec = QuadratureSpec.for_quad_tol(quad_tol, split_points=kinks)
+    spec = QuadratureSpec.for_quad_tol(quad_tol, split_points=kink_splits(alpha, lam))
     f2 = fn.f2
     total = 0.0
     for end, weight in ((a, (x - a) ** (alpha + 2.0) / w), (b, (b - x) ** (alpha + 2.0) / w)):
@@ -240,7 +239,7 @@ def printed_coefficient(name, alpha, lam, *, s=None, p=None):
                 - 2.0 * lam_pow / (alpha + s + 2.0)
                 + 1.0 / (alpha + s + 2.0)
             )
-        m = lam ** (1.0 / alpha) if lam > 0.0 else 0.0
+        m = kink(alpha, lam)
         return (lam * _incomplete_beta_term(m, 2.0, s + 1.0)
                 - _incomplete_beta_term(m, alpha + 2.0, s + 1.0)
                 + _incomplete_beta_term(1.0 - m, alpha + 2.0, s + 1.0)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +25,6 @@ from .functions import resolve_function
 from .report import build_ledger
 from .selftest import run_selftest
 from .verify import (
-    SweepPlan,
     default_sweep_plan,
     hermite_hadamard_check,
     identity_check,
@@ -162,43 +162,44 @@ def _parse_kernel_token(token, violations):
     return None
 
 
-_PLAN_KEYS = {"functions", "kernels", "x", "lambda", "alpha", "q", "tol"}
+# plan key -> SweepPlan field
+_PLAN_FIELDS = {"functions": "function_names", "kernels": "kernels", "x": "x_rel",
+                "lambda": "lam", "alpha": "alpha", "q": "q", "tol": "tol"}
 
 
 def _plan_from_file(path, violations):
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        # integers are read as floats, so no integer is too long to convert
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
     except OSError as exc:
         violations.append(f"cannot read config {path}: {exc}")
         return None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         violations.append(f"config {path} is not valid JSON: {exc}")
         return None
     if not isinstance(raw, dict):
         violations.append(f"config {path} must hold a JSON object")
         return None
-    unknown = sorted(set(raw) - _PLAN_KEYS)
-    if unknown:
-        violations.append(f"unknown config fields: {', '.join(unknown)}")
+    count = len(violations)
+    fields = {}
+    for key, value in raw.items():
+        kind = "string" if key in ("functions", "kernels") else "number"
+        entries = [value] if key == "tol" else value
+        if key not in _PLAN_FIELDS:
+            violations.append(f"unknown config field {key!r}")
+        elif not (isinstance(entries, list)
+                and all(isinstance(v, str if kind == "string" else float) for v in entries)):
+            shape = f"a {kind}" if key == "tol" else f"a JSON list of {kind}s"
+            violations.append(f"plan {key} must be {shape}, got {value!r}")
+        elif key == "kernels":
+            fields["kernels"] = tuple(_parse_kernel_token(t, violations) for t in value)
+        else:
+            fields[_PLAN_FIELDS[key]] = value if key == "tol" else tuple(value)
+    if len(violations) > count:
         return None
-    default = default_sweep_plan()
-    kernels = default.kernels
-    if "kernels" in raw:
-        kernels = tuple(
-            k for k in (_parse_kernel_token(t, violations) for t in raw["kernels"])
-            if k is not None
-        )
     try:
-        return SweepPlan(
-            function_names=tuple(raw.get("functions", default.function_names)),
-            kernels=kernels,
-            x_rel=tuple(raw.get("x", default.x_rel)),
-            lam=tuple(raw.get("lambda", default.lam)),
-            alpha=tuple(raw.get("alpha", default.alpha)),
-            q=tuple(raw.get("q", default.q)),
-            tol=float(raw.get("tol", default.tol)),
-        )
-    except (DomainError, TypeError, ValueError) as exc:
+        return replace(default_sweep_plan(), **fields)
+    except DomainError as exc:
         violations.append(f"invalid sweep plan: {exc}")
         return None
 
@@ -228,8 +229,8 @@ def parse_config(argv):
     if ns.command == "selftest":
         return ns
     violations = []
-    if not ns.quad_tol > 0.0:
-        violations.append(f"--quad-tol must be positive, got {ns.quad_tol}")
+    if not 0.0 < ns.quad_tol < math.inf:
+        violations.append(f"--quad-tol must be positive and finite, got {ns.quad_tol}")
 
     if ns.command == "sweep":
         if ns.config is not None:
@@ -238,8 +239,8 @@ def parse_config(argv):
             ns.plan = default_sweep_plan()
         if ns.tol is not None and ns.plan is not None:
             # command-line flags override config-file values
-            if not ns.tol > 0.0:
-                violations.append(f"--tol must be positive, got {ns.tol}")
+            if not 0.0 < ns.tol < math.inf:
+                violations.append(f"--tol must be positive and finite, got {ns.tol}")
             else:
                 ns.plan = replace(ns.plan, tol=ns.tol)
     elif ns.command == "verify":
@@ -275,19 +276,22 @@ def _check_verify(ns, violations):
                 violations.append(f"x must lie in [{dom.a}, {dom.b}], got {ns.x}")
     if ns.lam is not None and not 0.0 <= ns.lam <= 1.0:
         violations.append(f"lambda must lie in [0, 1], got {ns.lam}")
-    if not ns.alpha > 0.0:
-        violations.append(f"alpha must be positive, got {ns.alpha}")
-    if not ns.q >= 1.0:
-        violations.append(f"q must be >= 1, got {ns.q}")
+    if not 0.0 < ns.alpha < math.inf:
+        violations.append(f"alpha must be positive and finite, got {ns.alpha}")
+    if not 1.0 <= ns.q < math.inf:
+        violations.append(f"q must be finite and >= 1, got {ns.q}")
     if ns.theorem == "t2" and ns.q <= 1.0 and ns.preset is None:
         violations.append("theorem t2 requires q > 1 (p is derived as q/(q-1))")
-    if not ns.tol > 0.0:
-        violations.append(f"--tol must be positive, got {ns.tol}")
+    if not 0.0 < ns.tol < math.inf:
+        violations.append(f"--tol must be positive and finite, got {ns.tol}")
 
 
 def _emit(cfg, text):
     if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8")
+        try:
+            Path(cfg.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError([f"cannot write --out {cfg.out}: {exc}"]) from exc
     else:
         sys.stdout.write(text)
 

@@ -16,9 +16,9 @@ split at the kink m) and the selftest all call it.  M does not depend on
 (alpha, lam); callers pass (1.0, 0.0).  Each family is handed to
 :func:`phi_ineq.quadrature.integrate` under the spec of ``quad_tol``
 (:meth:`~phi_ineq.quadrature.QuadratureSpec.for_quad_tol`), with the kink
-of ``|base|`` at ``lam**(1/alpha)`` as a split point and the MT kernel's
-inverse-square-root endpoint declared, so the adaptive loop never has to
-discover either.
+of ``|base|`` at ``lam**(1/alpha)`` (:func:`kink`) as a split point and
+the MT kernel's inverse-square-root endpoint declared, so the adaptive
+loop never has to discover either.
 
 The process-wide cache on :func:`_cached` answers the repeats the
 callers' keys leave (B is the same for every kernel, M for every
@@ -30,35 +30,37 @@ same integrals again.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
-from .convexity import KIND_CONSTANT, KIND_MT, KIND_POWER
+from .convexity import KIND_MT, phi_function
 from .errors import DomainError
 from .quadrature import QuadratureSpec, integrate
 
 FAMILIES = ("A1", "A2", "A3", "B", "M")
 
 
-def _phi_factory(kernel):
-    if kernel is None or kernel.kind == KIND_CONSTANT:
-        return lambda t: 1.0
-    if kernel.kind == KIND_POWER:
-        s = kernel.s
-        return lambda t: t ** (s - 1.0)
-    return lambda t: 0.5 / (math.sqrt(t) * math.sqrt(1.0 - t))  # MT
+def kink(alpha, lam):
+    """lam**(1/alpha), where ``|t*(lam - t**alpha)|`` has its kink."""
+    return lam ** (1.0 / alpha)
+
+
+def kink_splits(alpha, lam, lo=0.0, hi=1.0):
+    """The kink as split points of [lo, hi]: none unless strictly inside,
+    so a kink that underflowed to 0.0 or rounded to 1.0 is not passed."""
+    m = kink(alpha, lam)
+    return (m,) if lo < m < hi else ()
 
 
 def _integrand(family, alpha, lam, kernel, p):
-    phi = _phi_factory(kernel)
     if family == "A1":
         return lambda t: abs(t * (lam - t ** alpha))
+    if family == "B":
+        return lambda t: abs(t * (lam - t ** alpha)) ** p
+    phi = phi_function(kernel)
     if family == "A2":
         return lambda t: abs(t * (lam - t ** alpha)) * t * phi(t)
     if family == "A3":
         return lambda t: abs(t * (lam - t ** alpha)) * (1.0 - t) * phi(1.0 - t)
-    if family == "B":
-        return lambda t: abs(t * (lam - t ** alpha)) ** p
     return lambda t: t * phi(t)  # M
 
 
@@ -82,11 +84,7 @@ def _validate(family, alpha, lam, kernel, p, lo, hi):
 # per kernel); 438 of its 2,058 coefficient calls are answered here.
 @lru_cache(maxsize=16384)
 def _cached(family, alpha, lam, kernel, p, lo, hi, quad_tol):
-    splits = []
-    if family != "M" and 0.0 < lam < 1.0:
-        kink = lam ** (1.0 / alpha)
-        if lo < kink < hi:
-            splits.append(kink)
+    splits = () if family == "M" else kink_splits(alpha, lam, lo, hi)
     left_e = 0.0
     right_e = 0.0
     if kernel is not None and kernel.kind == KIND_MT:
@@ -95,7 +93,7 @@ def _cached(family, alpha, lam, kernel, p, lo, hi, quad_tol):
         if family in ("A2", "M") and hi == 1.0:
             right_e = -0.5
     spec = QuadratureSpec.for_quad_tol(
-        quad_tol, split_points=tuple(splits), left_exponent=left_e, right_exponent=right_e,
+        quad_tol, split_points=splits, left_exponent=left_e, right_exponent=right_e,
     )
     return integrate(_integrand(family, alpha, lam, kernel, p), lo, hi, spec).value
 

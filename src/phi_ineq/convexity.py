@@ -24,11 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fracint import Interval
 
 KIND_CONSTANT = "constant"
 KIND_POWER = "power"
 KIND_MT = "mt"
+
+# The gate's grid size and its rounding tolerance relative to max|g|.
+GRID_N = 33
+GATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,37 +75,42 @@ class ConvexityWitness:
     witness_point: tuple[float, float, float]
 
 
+def phi_function(kernel):
+    """phi as a function of t without :func:`phi_eval`'s domain check, for
+    integrands that call it at every sample."""
+    if kernel.kind == KIND_CONSTANT:
+        return lambda t: 1.0
+    if kernel.kind == KIND_POWER:
+        s = kernel.s
+        return lambda t: t ** (s - 1.0)
+    return lambda t: 0.5 / (math.sqrt(t) * math.sqrt(1.0 - t))  # MT
+
+
 def phi_eval(kernel, t):
     """Evaluate the weight kernel at t strictly inside (0, 1)."""
     t = float(t)
     if not 0.0 < t < 1.0:
         raise DomainError(f"phi is defined on (0, 1) only, got t={t}")
-    if kernel.kind == KIND_CONSTANT:
-        return 1.0
-    if kernel.kind == KIND_POWER:
-        return t ** (kernel.s - 1.0)
-    return 0.5 / (math.sqrt(t) * math.sqrt(1.0 - t))  # MT
+    return phi_function(kernel)(t)
 
 
-def check_phi_convex(g, kernel, interval, grid_n=33, tol=1e-9):
-    """Scan the phi-convexity inequality for g over interval.  g is
-    vectorized: it maps a float array to an array of the same shape.
+def check_phi_convex(g, kernel, interval):
+    """Scan the phi-convexity inequality for g over ``interval``, an
+    :class:`~phi_ineq.fracint.Interval`.  g is vectorized: it maps a float
+    array to an array of the same shape.
 
-    x and y run over a uniform ``grid_n``-point grid on [a, b]; t runs
-    over ``grid_n - 1`` half-step points (j + 1/2)/(grid_n - 1), which
+    x and y run over a uniform ``GRID_N``-point grid on [a, b]; t runs
+    over ``GRID_N - 1`` half-step points (j + 1/2)/(GRID_N - 1), which
     stay strictly inside (0, 1) and are symmetric under t -> 1-t.  The
     witness is the lexicographically smallest (x, y, t) attaining the
-    worst violation.  Violations within ``tol * max(1, max|g|)`` over the
-    grid count as rounding noise and are reported as <= 0: the compared
-    sides are sums of g values, so their rounding error scales with g.
+    worst violation.  Violations within ``GATE_TOL * max(1, max|g|)`` over
+    the grid count as rounding noise and are reported as <= 0: the
+    compared sides are sums of g values, so their rounding error scales
+    with g.
     """
-    if not isinstance(interval, Interval):
-        interval = Interval(*interval)
-    if grid_n < 3:
-        raise DomainError(f"grid_n must be at least 3, got {grid_n}")
     a, b = interval.a, interval.b
-    xs = np.linspace(a, b, grid_n)
-    m = grid_n - 1
+    xs = np.linspace(a, b, GRID_N)
+    m = GRID_N - 1
     ts = (np.arange(m) + 0.5) / m
     gx = np.asarray(g(xs), dtype=float)
     if not np.all(np.isfinite(gx)):
@@ -129,6 +137,6 @@ def check_phi_convex(g, kernel, interval, grid_n=33, tol=1e-9):
     i, j, k = np.unravel_index(flat_idx, viol.shape)
     worst = float(viol[i, j, k])
     witness = (float(xs[i]), float(xs[j]), float(ts[k]))
-    if worst > tol * max(1.0, float(np.abs(gx).max())):
+    if worst > GATE_TOL * max(1.0, float(np.abs(gx).max())):
         return ConvexityWitness(False, worst, witness)
     return ConvexityWitness(True, min(worst, 0.0), witness)

@@ -35,10 +35,9 @@ class NonFiniteSample(PhiIneqError, ValueError):
 
 
 class UsageError(PhiIneqError):
-    """Invalid command-line or config-file input (exit code 2)."""
+    """Invalid command-line or config-file input (exit code 2); takes the
+    list of every violation found."""
 
     def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))

@@ -307,13 +307,13 @@ class TestFunction:
                 raise DomainError(f"{self.name}: non-finite value inside the domain at t={u:g}")
 
     @classmethod
-    def from_expression(cls, name, source, domain):
+    def from_expression(cls, source, domain):
+        """The function of an expression string on an Interval, named by
+        its source."""
         ast = parse_expression(source)
         d1 = ast.diff()
         d2 = d1.diff()
-        if not isinstance(domain, Interval):
-            domain = Interval(*domain)
-        return cls(name=name, f=ast.eval, f1=d1.eval, f2=d2.eval, domain=domain)
+        return cls(name=source, f=ast.eval, f1=d1.eval, f2=d2.eval, domain=domain)
 
 
 def _sqrt_control():
@@ -340,12 +340,12 @@ def registry():
     if _REGISTRY is None:
         unit = Interval(0.0, 1.0)
         _REGISTRY = {
-            "t": TestFunction.from_expression("t", "t", unit),
-            "t^2": TestFunction.from_expression("t^2", "t^2", unit),
-            "t^3": TestFunction.from_expression("t^3", "t^3", unit),
-            "t^4": TestFunction.from_expression("t^4", "t^4", unit),
-            "exp(t)": TestFunction.from_expression("exp(t)", "exp(t)", unit),
-            "-ln(t)": TestFunction.from_expression("-ln(t)", "-ln(t)", Interval(0.5, 2.0)),
+            "t": TestFunction.from_expression("t", unit),
+            "t^2": TestFunction.from_expression("t^2", unit),
+            "t^3": TestFunction.from_expression("t^3", unit),
+            "t^4": TestFunction.from_expression("t^4", unit),
+            "exp(t)": TestFunction.from_expression("exp(t)", unit),
+            "-ln(t)": TestFunction.from_expression("-ln(t)", Interval(0.5, 2.0)),
             "sqrt_control": _sqrt_control(),
         }
     return _REGISTRY
@@ -363,4 +363,4 @@ def resolve_function(spec, a=None, b=None):
             return TestFunction(fn.name, fn.f, fn.f1, fn.f2, dom)
         return fn
     dom = Interval(0.0 if a is None else a, 1.0 if b is None else b)
-    return TestFunction.from_expression(spec, spec, dom)
+    return TestFunction.from_expression(spec, dom)

@@ -61,15 +61,16 @@ _EPS = 2.220446049250313e-16
 # No panel error estimate falls below this multiple of the panel's
 # integral of |f| (QUADPACK's roundoff bound).
 _ROUNDING_FLOOR = 50.0 * _EPS
+# The most bisections one integral may take before ToleranceNotMet.
+MAX_SUBDIVISIONS = 2000
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances, subdivision budget and integrand structure hints."""
+    """Tolerances and integrand structure hints."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
     split_points: tuple[float, ...] = ()
     left_exponent: float = 0.0
     right_exponent: float = 0.0
@@ -77,8 +78,6 @@ class QuadratureSpec:
     def __post_init__(self):
         if not (self.abs_tol > 0.0) or not (self.rel_tol > 0.0):
             raise DomainError("abs_tol and rel_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be a positive integer")
         if self.left_exponent <= -1.0 or self.right_exponent <= -1.0:
             raise DomainError("endpoint exponents must exceed -1 (integrability)")
         object.__setattr__(self, "split_points", tuple(float(p) for p in self.split_points))
@@ -243,11 +242,11 @@ def _gk15(g, a, b):
 def integrate(f, lo, hi, spec=None):
     """Integrate ``f`` over ``[lo, hi]`` under the given spec.
 
-    Raises ToleranceNotMet when the subdivision budget runs out or when
-    the tolerance lies below the rounding floor (rel_tol < 50*eps and
-    abs_tol < 50*eps*|value|), which no error estimate can pass, so the
-    loop could only bisect to the budget; and NonFiniteSample when ``f``
-    produces nan/inf at a sample point.
+    Raises ToleranceNotMet when more than ``MAX_SUBDIVISIONS`` bisections
+    would be needed or when the tolerance lies below the rounding floor
+    (rel_tol < 50*eps and abs_tol < 50*eps*|value|), which no error
+    estimate can pass, so the loop could only bisect to the budget; and
+    NonFiniteSample when ``f`` produces nan/inf at a sample point.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -278,9 +277,9 @@ def integrate(f, lo, hi, spec=None):
                 f"the rounding floor 50*eps*|value| (error estimate {total_err:.3e}, "
                 f"value {total:.6e})"
             )
-        if n_bisect >= spec.max_subdivisions:
+        if n_bisect >= MAX_SUBDIVISIONS:
             raise ToleranceNotMet(
-                f"needed more than {spec.max_subdivisions} subdivisions "
+                f"needed more than {MAX_SUBDIVISIONS} subdivisions "
                 f"(error estimate {total_err:.3e}, value {total:.6e})"
             )
         worst = max(panels, key=lambda p: (p[0], -p[1]))

@@ -14,11 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import printed_coefficient
-from .coefquad import coef_integral
+from .coefquad import coef_integral, kink
 from .convexity import PhiKernel
 from .errors import DomainError
 
 AGREE_TOL = 1e-8
+
+LEDGER_ALPHAS = (0.5, 1.0, 2.0)
+LEDGER_LAMS = (0.0, 0.25, 0.5, 0.75, 1.0)
+LEDGER_S = (0.5, 1.0)
+LEDGER_P = (2.0,)
 
 VERDICT_AGREES = "AGREES"
 VERDICT_DISAGREES = "DISAGREES"
@@ -48,28 +53,27 @@ def _entry(name, alpha, lam, s, p, oracle):
     return DiscrepancyEntry(name, alpha, lam, s, p, printed, oracle, diff, verdict)
 
 
-def build_ledger(alphas=(0.5, 1.0, 2.0), lams=(0.0, 0.25, 0.5, 0.75, 1.0),
-                 s_values=(0.5, 1.0), p_values=(2.0,), *, quad_tol=1e-12):
-    """One entry per (coefficient, grid point); sorted and deterministic.
-    The default grid covers both lambda boundaries, where several printed
-    forms fail sanity checks.  The oracles of C1 and C2 are B over [0, m]
-    and [m, 1], split at the kink m = lam**(1/alpha); an empty side is 0."""
+def build_ledger(*, quad_tol=1e-12):
+    """One entry per (coefficient, grid point) of the LEDGER_* grid; sorted
+    and deterministic.  The grid covers both lambda boundaries, where
+    several printed forms fail sanity checks.  The oracles of C1 and C2 are
+    B over [0, m] and [m, 1], split at the kink m; an empty side is 0."""
     constant = PhiKernel.constant()
     entries = []
-    for alpha in alphas:
-        for lam in lams:
+    for alpha in LEDGER_ALPHAS:
+        for lam in LEDGER_LAMS:
             a2 = coef_integral("A2", alpha, lam, constant, quad_tol=quad_tol)
             a3 = coef_integral("A3", alpha, lam, constant, quad_tol=quad_tol)
             entries.append(_entry("A2C", alpha, lam, None, None, a2))
             entries.append(_entry("A3C", alpha, lam, None, None, a3))
-            for s in s_values:
+            for s in LEDGER_S:
                 power = PhiKernel.power(s)
                 a4 = coef_integral("A2", alpha, lam, power, quad_tol=quad_tol)
                 a5 = coef_integral("A3", alpha, lam, power, quad_tol=quad_tol)
                 entries.append(_entry("A4", alpha, lam, s, None, a4))
                 entries.append(_entry("A5", alpha, lam, s, None, a5))
-            m = lam ** (1.0 / alpha) if lam > 0.0 else 0.0
-            for p in p_values:
+            m = kink(alpha, lam)
+            for p in LEDGER_P:
                 b_val = coef_integral("B", alpha, lam, p=p, quad_tol=quad_tol)
                 c1 = c2 = 0.0
                 if m > 0.0:

@@ -28,6 +28,7 @@ of :mod:`phi_ineq.coefquad`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -44,7 +45,7 @@ from .bounds import (
     theorem2_bound,
 )
 from .coefquad import coef_integral
-from .convexity import KIND_POWER, PhiKernel, check_phi_convex
+from .convexity import PhiKernel, check_phi_convex
 from .errors import DomainError, PhiIneqError
 from .functions import registry
 from .quadrature import QuadratureSpec, integrate
@@ -111,10 +112,10 @@ def _report(base, check):
 # takes about 0.7 ms on a 2-vCPU Xeon VM, so without this cache the 945
 # repeated scans would add about 0.7 s to each session.
 @lru_cache(maxsize=512)
-def _hypothesis_witness(fn, q, kernel, interval):
+def _hypothesis_witness(fn, q, kernel):
     def g(u):
         return abs(fn.f2(u)) ** q
-    return check_phi_convex(g, kernel, interval)
+    return check_phi_convex(g, kernel, fn.domain)
 
 
 def verify_point(fn, params, kernel, theorem, *, tol=1e-9, quad_tol=1e-12, rhs_scale=1.0):
@@ -180,9 +181,9 @@ def hermite_hadamard_check(fn, *, quad_tol=1e-12):
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Grids for a Cartesian sweep.  ``x_rel`` holds relative positions
-    in [0, 1] mapped onto each function's own interval, so one plan can
-    mix functions with different domains."""
+    """Grids for a Cartesian sweep of both theorems.  ``x_rel`` holds
+    relative positions in [0, 1] mapped onto each function's own interval,
+    so one plan can mix functions with different domains."""
 
     function_names: tuple[str, ...]
     kernels: tuple[PhiKernel, ...]
@@ -191,14 +192,16 @@ class SweepPlan:
     alpha: tuple[float, ...]
     q: tuple[float, ...]
     tol: float = 1e-9
-    theorems: tuple[str, ...] = ("T1", "T2")
 
     def __post_init__(self):
         problems = []
-        for name, values in (("function_names", self.function_names),
-                             ("kernels", self.kernels), ("x_rel", self.x_rel),
+        reg = registry()
+        for name in self.function_names:
+            if name not in reg:
+                problems.append(f"unknown registry function {name!r}")
+        for name, values in (("kernels", self.kernels), ("x_rel", self.x_rel),
                              ("lam", self.lam), ("alpha", self.alpha), ("q", self.q)):
-            if len(values) == 0 and name != "function_names":
+            if len(values) == 0:
                 problems.append(f"{name} grid is empty")
         for v in self.x_rel:
             if not 0.0 <= v <= 1.0:
@@ -207,16 +210,13 @@ class SweepPlan:
             if not 0.0 <= v <= 1.0:
                 problems.append(f"lambda {v} outside [0, 1]")
         for v in self.alpha:
-            if not v > 0.0:
-                problems.append(f"alpha {v} not positive")
+            if not 0.0 < v < math.inf:
+                problems.append(f"alpha {v} outside (0, inf)")
         for v in self.q:
-            if not v >= 1.0:
-                problems.append(f"q {v} below 1")
-        if not self.tol > 0.0:
-            problems.append(f"tol {self.tol} not positive")
-        for t in self.theorems:
-            if t not in ("T1", "T2"):
-                problems.append(f"unknown sweep theorem {t!r}")
+            if not 1.0 <= v < math.inf:
+                problems.append(f"q {v} outside [1, inf)")
+        if not 0.0 < self.tol < math.inf:
+            problems.append(f"tol {self.tol} outside (0, inf)")
         if problems:
             raise DomainError("; ".join(problems))
 
@@ -312,7 +312,7 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
     if coefficient_tables is None:
         coefficient_tables = {}
 
-    witnesses = _Table(lambda kernel, q: _hypothesis_witness(fn, q, kernel, dom))
+    witnesses = _Table(lambda kernel, q: _hypothesis_witness(fn, q, kernel))
     j_sums = _Table(lambda x, alpha: fractional_sum(fn, a, b, x, alpha, quad_tol=quad_tol))
 
     def s_value(x, lam, alpha):
@@ -343,7 +343,6 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
     append = reports.append
     for kernel in kernels:
         label = kernel.label
-        s_param = kernel.s if kernel.kind == KIND_POWER else None
         if kernel not in coefficient_tables:
             coefficient_tables[kernel] = _kernel_coefficients(kernel, quad_tol)
         t1_coefs, t2_coefs = coefficient_tables[kernel]
@@ -367,7 +366,7 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
                             if coefs is None or fq is None:
                                 append(BoundReport(
                                     fn.name, label, theorem, a, b, x, lam, alpha, q,
-                                    None if witness is None else row_p, s_param,
+                                    None if witness is None else row_p, kernel.s,
                                     None, None, None, False, STATUS_ERROR,
                                     message=str(first_failure(kernel, q, x, lam, alpha, row_p)),
                                 ))
@@ -385,14 +384,14 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
                             except _NUMERICAL as exc:
                                 append(BoundReport(
                                     fn.name, label, theorem, a, b, x, lam, alpha, q, row_p,
-                                    s_param, None, None, None, False, STATUS_ERROR,
+                                    kernel.s, None, None, None, False, STATUS_ERROR,
                                     message=str(exc),
                                 ))
                                 continue
                             margin = rhs - lhs
                             append(BoundReport(
                                 fn.name, label, theorem, a, b, x, lam, alpha, q, row_p,
-                                s_param, lhs, rhs, margin, holds, _status(holds, margin, tol),
+                                kernel.s, lhs, rhs, margin, holds, _status(holds, margin, tol),
                             ))
     return reports
 
@@ -412,13 +411,11 @@ def sweep(plan, *, quad_tol=1e-12, rhs_scale=1.0):
     coefficient_tables = {}
     reports = []
     for name in plan.function_names:
-        if name not in reg:
-            raise DomainError(f"unknown registry function {name!r}")
         fn = reg[name]
         a, b = fn.domain.a, fn.domain.b
         reports.extend(verify_grid(
             fn, plan.kernels, plan.q, [a + (b - a) * xi for xi in plan.x_rel],
-            plan.lam, plan.alpha, plan.theorems, tol=plan.tol, quad_tol=quad_tol,
+            plan.lam, plan.alpha, ("T1", "T2"), tol=plan.tol, quad_tol=quad_tol,
             rhs_scale=rhs_scale, coefficient_tables=coefficient_tables,
         ))
     reports.sort(key=_sort_key)

@@ -201,7 +201,67 @@ class TestExitCodes:
             "x": [0.5], "lambda": [0.0], "alpha": [1.0], "q": [1.0], "tol": -1,
         }))
         assert main(["sweep", "--config", str(plan_file)]) == 2
-        assert "tol -1.0 not positive" in capsys.readouterr().err
+        assert "tol -1.0 outside (0, inf)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("plan, reason", [
+        ({"kernels": [1]}, "plan kernels must be a JSON list of strings"),
+        ({"functions": [["t"]]}, "plan functions must be a JSON list of strings"),
+        ({"functions": ["bogus"]}, "unknown registry function 'bogus'"),
+        ({"functions": "t^2"}, "plan functions must be a JSON list of strings, got 't^2'"),
+        ({"x": ["0.5"]}, "plan x must be a JSON list of numbers, got ['0.5']"),
+    ])
+    def test_malformed_plan_is_two(self, plan, reason, tmp_path, capsys):
+        # these ended in a traceback (exit 1, the FAIL code) or in exit 3
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps(plan))
+        assert main(["sweep", "--config", str(plan_file)]) == 2
+        assert reason in capsys.readouterr().err
+
+    def test_deeply_nested_plan_is_two(self, tmp_path, capsys):
+        # the JSON decoder raised RecursionError: a traceback and exit 1
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text("[" * 100000 + "]" * 100000)
+        assert main(["sweep", "--config", str(plan_file)]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["verify", "--fn", "t^2"], ["coeffs"]])
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_out_is_two(self, argv, target, tmp_path, capsys):
+        # a missing directory or a directory as the --out path
+        assert main([*argv, "--out", str(tmp_path / target)]) == 2
+        assert "usage error: cannot write --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["--tol", "inf", "--inject-bound-scale", "0"], "--tol must be positive and finite"),
+        (["--alpha", "inf"], "alpha must be positive and finite"),
+        (["--q", "inf"], "q must be finite and >= 1"),
+        (["--quad-tol", "inf"], "--quad-tol must be positive and finite"),
+    ])
+    def test_non_finite_flag_is_two(self, argv, reason, capsys):
+        # --tol inf turned a zeroed bound into PASS; alpha or q = inf gave ERROR
+        assert main(["verify", "--fn", "t^2", *argv]) == 2
+        assert f"usage error: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("plan, argv, reason", [
+        ({"tol": float("inf")}, ["--inject-bound-scale", "0"], "tol inf outside (0, inf)"),
+        ({"alpha": [float("inf")]}, [], "alpha inf outside (0, inf)"),
+        ({"q": [float("inf")]}, [], "q inf outside [1, inf)"),
+        ({}, ["--tol", "inf"], "--tol must be positive and finite"),
+    ])
+    def test_non_finite_plan_value_is_two(self, plan, argv, reason, tmp_path, capsys):
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps({"functions": ["t^2"], "kernels": ["constant"],
+                                         "x": [0.5], "lambda": [0.0], **plan}))
+        assert main(["sweep", "--config", str(plan_file), *argv]) == 2
+        assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam, alpha", [("1e-20", "0.01"), ("0.9999999999999999", "100")])
+    def test_identity_at_a_kink_that_rounds_to_an_end(self, lam, alpha, capsys):
+        # lam**(1/alpha) rounds to 0.0 or 1.0, which identity_rhs used to
+        # pass as a split point: ERROR "split point ... not strictly inside"
+        assert main(["verify", "--fn", "t^2", "--theorem", "lemma1",
+                     "--lambda", lam, "--alpha", alpha]) == 0
+        assert capsys.readouterr().out.endswith(",true,PASS\n")
 
     def test_numerical_failure_is_three(self, capsys):
         code = main(["verify", "--fn", "t^2", "--theorem", "t1",
@@ -237,3 +297,27 @@ def test_convexity_gate_tolerance_scales_with_function(capsys):
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 3
     assert all(row.endswith(",true,PASS") for row in rows)
+
+
+def test_any_json_plan_parses_or_is_a_usage_error(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=8) | st.sampled_from(["t^2", "constant", "power:0.5", "mt"]))
+    values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                          | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                          max_leaves=8)
+    plan_key = st.sampled_from(["functions", "kernels", "x", "lambda", "alpha", "q", "tol"])
+    path = tmp_path / "plan.json"
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(st.dictionaries(plan_key, values))
+    def check(plan):
+        path.write_text(json.dumps(plan))
+        try:
+            cfg = parse_config(["sweep", "--config", str(path)])
+        except UsageError:
+            return
+        assert len(cfg.plan.kernels) > 0
+
+    check()

@@ -41,13 +41,13 @@ def test_kernel_labels():
 
 
 def test_convex_function_passes():
-    w = check_phi_convex(lambda t: t * t, CONST, UNIT, grid_n=21, tol=1e-12)
+    w = check_phi_convex(lambda t: t * t, CONST, UNIT)
     assert w.holds
     assert w.worst_violation <= 0.0
 
 
 def test_concave_function_fails_with_witness():
-    w = check_phi_convex(lambda t: -t * t, CONST, UNIT, grid_n=21, tol=1e-12)
+    w = check_phi_convex(lambda t: -t * t, CONST, UNIT)
     assert not w.holds
     assert w.worst_violation > 0.0
     x, y, t = w.witness_point
@@ -115,7 +115,3 @@ def test_witness_determinism():
     w2 = check_phi_convex(g, CONST, UNIT)
     assert w1 == w2
 
-
-def test_grid_validation():
-    with pytest.raises(DomainError):
-        check_phi_convex(lambda t: t, CONST, UNIT, grid_n=2)

@@ -8,7 +8,7 @@ from phi_ineq.errors import DomainError
 from phi_ineq.fracint import Interval
 from phi_ineq.functions import (
     SMOOTH_BATTERY,
-    TestFunction,
+    TestFunction as Fn,
     parse_expression,
     registry,
     resolve_function,
@@ -55,13 +55,14 @@ def test_parse_errors():
 
 
 def test_testfunction_derivative_invariant():
-    fn = TestFunction.from_expression("cube", "t^3", Interval(0.0, 1.0))
+    fn = Fn.from_expression("t^3", Interval(0.0, 1.0))
+    assert fn.name == "t^3"
     assert fn.f1(0.5) == pytest.approx(0.75)
     assert fn.f2(0.5) == pytest.approx(3.0)
     # derivatives are trusted; non-finite values inside the domain are not
     with pytest.raises(DomainError, match="non-finite"):
-        TestFunction("broken", f=lambda t: t ** 3, f1=lambda t: 3 * t ** 2,
-                     f2=lambda t: math.nan, domain=Interval(0.0, 1.0))
+        Fn("broken", f=lambda t: t ** 3, f1=lambda t: 3 * t ** 2,
+           f2=lambda t: math.nan, domain=Interval(0.0, 1.0))
 
 
 @pytest.mark.parametrize("name", list(registry()))

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from phi_ineq import quadrature
 from phi_ineq.errors import DomainError, NonFiniteSample, ToleranceNotMet
 from phi_ineq.quadrature import (
     WG,
@@ -105,10 +106,15 @@ def test_error_monotonicity_under_tolerance_halving():
             abs_tol *= 0.5
 
 
-def test_tolerance_not_met():
-    spec = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=50)
-    with pytest.raises(ToleranceNotMet):
-        integrate(lambda t: math.exp(t), 0.0, 1.0, spec)
+def test_subdivision_budget(monkeypatch):
+    # an undeclared inverse-square-root end takes dozens of bisections at
+    # a tolerance well above the rounding floor; a budget of 5 runs out
+    f = lambda t: t ** -0.5
+    full = integrate(f, 0.0, 1.0)
+    assert full.value == pytest.approx(2.0, rel=1e-9) and full.subdivisions_used > 5
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 5)
+    with pytest.raises(ToleranceNotMet, match="needed more than 5 subdivisions"):
+        integrate(f, 0.0, 1.0)
 
 
 def test_tolerance_below_rounding_floor_stops_at_once():

@@ -179,10 +179,11 @@ class TestSweep:
             lam=(0.0, 1.0 / 3.0, 1.0),
             alpha=(0.5, 1.0, 2.0),
             q=(1.0, 2.0),
-            theorems=("T1",),
         )
         reports = sweep(plan)
-        assert len(reports) == 162
+        # 162 T1 points (q = 1 and 2) and 81 T2 points (q = 2 only)
+        assert len(reports) == 243
+        assert sum(r.theorem == "T1" for r in reports) == 162
         assert sweep_summary(reports)["FAIL"] == 0
 
     def test_empty_function_list(self):
@@ -190,9 +191,8 @@ class TestSweep:
         assert sweep(plan) == []
 
     def test_unknown_function_rejected(self):
-        plan = SweepPlan(("nope",), (CONST,), (0.5,), (0.0,), (1.0,), (1.0,))
-        with pytest.raises(DomainError):
-            sweep(plan)
+        with pytest.raises(DomainError, match="unknown registry function 'nope'"):
+            SweepPlan(("nope",), (CONST,), (0.5,), (0.0,), (1.0,), (1.0,))
 
     def test_determinism(self):
         plan = SweepPlan(("t^2", "t^3"), (CONST,), (0.25, 0.75), (0.0, 1.0),
@@ -221,8 +221,7 @@ class TestSweep:
     def test_holder_dominance_on_convex_registry(self):
         # empirical q = p = 2 sanity: the Holder bound dominates |S|
         plan = SweepPlan(("t^2", "t^3", "t^4", "exp(t)"), (CONST,),
-                         (0.25, 0.5, 0.75), (0.0, 0.5, 1.0), (0.5, 1.0, 2.0), (2.0,),
-                         theorems=("T2",))
+                         (0.25, 0.5, 0.75), (0.0, 0.5, 1.0), (0.5, 1.0, 2.0), (2.0,))
         for r in sweep(plan):
             assert r.status == "PASS"
             assert r.rhs >= r.lhs - 1e-9
@@ -274,7 +273,7 @@ def _reference_sweep(plan, *, quad_tol=1e-12, rhs_scale=1.0):
                     for lam in plan.lam:
                         for alpha in plan.alpha:
                             p = EvalParams(fn.domain, x=x, lam=lam, alpha=alpha, q=q)
-                            for theorem in plan.theorems:
+                            for theorem in ("T1", "T2"):
                                 if theorem == "T2" and q <= 1.0:
                                     continue
                                 reports.append(_reference_point(
