@@ -26,7 +26,7 @@ from .bounds import (
     theorem2_bound,
 )
 from .coefquad import coef_integral
-from .convexity import ConvexityWitness, PhiKernel, check_phi_convex, phi_eval
+from .convexity import ConvexityWitness, PhiKernel, check_phi_convex
 from .errors import (
     DivergenceError,
     DomainError,

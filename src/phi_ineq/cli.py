@@ -204,18 +204,29 @@ def _plan_from_file(path, violations):
         return None
 
 
-def _attach_fn_value(argv):
-    """``--fn VALUE`` as ``--fn=VALUE``.  argparse takes a separate value
-    that starts with a minus sign (``-ln(t)``, ``-t^2``) for a flag, so the
-    token after ``--fn`` is attached to it and read as it is."""
+def _reads_as_float(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_values(argv):
+    """``--flag VALUE`` as ``--flag=VALUE`` for the token after ``--fn``
+    and, after any other ``--flag``, for a token that float() reads.
+    argparse takes a separate value that starts with a minus sign
+    (``-ln(t)``, ``-1e-3``) for a flag; attached, it is read as it is."""
     out = []
-    tokens = iter(argv)
-    for token in tokens:
-        if token == "--fn":
-            value = next(tokens, None)
-            if value is not None:
-                token = f"--fn={value}"
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if (token.startswith("--") and "=" not in token and i + 1 < len(argv)
+                and (token == "--fn" or _reads_as_float(argv[i + 1]))):
+            i += 1
+            token = f"{token}={argv[i]}"
         out.append(token)
+        i += 1
     return out
 
 
@@ -225,12 +236,14 @@ def parse_config(argv):
     ``function`` and ``--format`` as ``fmt``.  For verify, ``fn`` holds the
     resolved function and ``kernel`` a PhiKernel; for sweep, ``plan`` holds
     the SweepPlan."""
-    ns = _build_parser().parse_args(_attach_fn_value(argv))
+    ns = _build_parser().parse_args(_attach_values(argv))
     if ns.command == "selftest":
         return ns
     violations = []
     if not 0.0 < ns.quad_tol < math.inf:
         violations.append(f"--quad-tol must be positive and finite, got {ns.quad_tol}")
+    if ns.command in ("verify", "sweep") and not math.isfinite(ns.inject_bound_scale):
+        violations.append(f"--inject-bound-scale must be finite, got {ns.inject_bound_scale}")
 
     if ns.command == "sweep":
         if ns.config is not None:

@@ -76,22 +76,13 @@ class ConvexityWitness:
 
 
 def phi_function(kernel):
-    """phi as a function of t without :func:`phi_eval`'s domain check, for
-    integrands that call it at every sample."""
+    """phi as a function of t in (0, 1); it does not check t."""
     if kernel.kind == KIND_CONSTANT:
         return lambda t: 1.0
     if kernel.kind == KIND_POWER:
         s = kernel.s
         return lambda t: t ** (s - 1.0)
     return lambda t: 0.5 / (math.sqrt(t) * math.sqrt(1.0 - t))  # MT
-
-
-def phi_eval(kernel, t):
-    """Evaluate the weight kernel at t strictly inside (0, 1)."""
-    t = float(t)
-    if not 0.0 < t < 1.0:
-        raise DomainError(f"phi is defined on (0, 1) only, got t={t}")
-    return phi_function(kernel)(t)
 
 
 def check_phi_convex(g, kernel, interval):
@@ -127,7 +118,8 @@ def check_phi_convex(g, kernel, interval):
             "defined for nonnegative functions",
             stacklevel=2,
         )
-    tphi = np.array([t * phi_eval(kernel, t) for t in ts])
+    phi = phi_function(kernel)
+    tphi = np.array([t * phi(t) for t in ts.tolist()])
     # mixture points P[i, j, k] = t_k*x_i + (1-t_k)*y_j
     P = ts[None, None, :] * xs[:, None, None] + (1.0 - ts[None, None, :]) * xs[None, :, None]
     gp = np.asarray(g(P), dtype=float)

@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-Builtin ``OverflowError`` is reused for Gamma overflow; everything else
+Builtin ``OverflowError`` is reused for Gamma overflow and for an
+integral beyond the double-precision range; everything else
 derives from :class:`PhiIneqError` so callers can catch library failures
 with a single except clause.
 """

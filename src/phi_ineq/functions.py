@@ -20,15 +20,7 @@ from .errors import DomainError
 from .fracint import Interval
 
 
-class _Expr:
-    def eval(self, t):
-        raise NotImplementedError
-
-    def diff(self):
-        raise NotImplementedError
-
-
-class _Const(_Expr):
+class _Const:
     def __init__(self, v):
         self.v = float(v)
 
@@ -38,22 +30,16 @@ class _Const(_Expr):
     def diff(self):
         return _Const(0.0)
 
-    def __repr__(self):
-        return f"{self.v:g}"
 
-
-class _Var(_Expr):
+class _Var:
     def eval(self, t):
         return t
 
     def diff(self):
         return _Const(1.0)
 
-    def __repr__(self):
-        return "t"
 
-
-class _Add(_Expr):
+class _Add:
     def __init__(self, u, v):
         self.u, self.v = u, v
 
@@ -63,11 +49,8 @@ class _Add(_Expr):
     def diff(self):
         return _add(self.u.diff(), self.v.diff())
 
-    def __repr__(self):
-        return f"({self.u}+{self.v})"
 
-
-class _Mul(_Expr):
+class _Mul:
     def __init__(self, u, v):
         self.u, self.v = u, v
 
@@ -77,11 +60,8 @@ class _Mul(_Expr):
     def diff(self):
         return _add(_mul(self.u.diff(), self.v), _mul(self.u, self.v.diff()))
 
-    def __repr__(self):
-        return f"({self.u}*{self.v})"
 
-
-class _Pow(_Expr):
+class _Pow:
     def __init__(self, base, n):
         self.base, self.n = base, int(n)
 
@@ -89,15 +69,10 @@ class _Pow(_Expr):
         return self.base.eval(t) ** self.n
 
     def diff(self):
-        if self.n == 0:
-            return _Const(0.0)
         return _mul(_mul(_Const(self.n), _pow(self.base, self.n - 1)), self.base.diff())
 
-    def __repr__(self):
-        return f"({self.base}^{self.n})"
 
-
-class _Exp(_Expr):
+class _Exp:
     def __init__(self, arg):
         self.arg = arg
 
@@ -107,11 +82,8 @@ class _Exp(_Expr):
     def diff(self):
         return _mul(self, self.arg.diff())
 
-    def __repr__(self):
-        return f"exp({self.arg})"
 
-
-class _Ln(_Expr):
+class _Ln:
     def __init__(self, arg):
         self.arg = arg
 
@@ -121,11 +93,8 @@ class _Ln(_Expr):
     def diff(self):
         return _mul(_Inv(self.arg), self.arg.diff())
 
-    def __repr__(self):
-        return f"ln({self.arg})"
 
-
-class _Inv(_Expr):
+class _Inv:
     """1 / arg, used only by derivatives of ln."""
 
     def __init__(self, arg):
@@ -136,9 +105,6 @@ class _Inv(_Expr):
 
     def diff(self):
         return _mul(_Const(-1.0), _mul(_mul(self, self), self.arg.diff()))
-
-    def __repr__(self):
-        return f"(1/{self.arg})"
 
 
 def _is_const(e, v=None):

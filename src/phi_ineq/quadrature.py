@@ -98,60 +98,34 @@ class QuadResult:
     subdivisions_used: int
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One initial panel in transformed coordinates.
-
-    mode 0: t = u                     (plain)
-    mode 1: t = anchor + u**kappa     (left-singular end)
-    mode 2: t = anchor - u**kappa     (right-singular end)
-    """
-
-    u_lo: float
-    u_hi: float
-    mode: int = 0
-    kappa: float = 1.0
-    anchor: float = 0.0
-
-
-def build_segments(lo, hi, split_points, left_exponent, right_exponent):
-    """Partition [lo, hi] at the split points and attach the power
-    substitution to singular ends."""
-    splits = sorted(set(float(p) for p in split_points))
+def _panels(f, lo, hi, spec):
+    """The initial panels of [lo, hi] as (g, u_lo, u_hi) triples: [lo, hi]
+    is split at the split points, and the panel at a singular end
+    integrates g(u) = f(lo + u**kappa) * kappa * u**(kappa - 1) (or its
+    mirror at hi) over u in [0, width**(1/kappa)]."""
+    splits = sorted(set(spec.split_points))
     for p in splits:
         if not (lo < p < hi):
             raise DomainError(f"split point {p} not strictly inside ({lo}, {hi})")
-    left_sing = left_exponent < 0.0
-    right_sing = right_exponent < 0.0
+    left_sing = spec.left_exponent < 0.0
+    right_sing = spec.right_exponent < 0.0
     bounds = [lo] + splits + [hi]
     if left_sing and right_sing and len(bounds) == 2:
         bounds.insert(1, 0.5 * (lo + hi))
-    segments = []
-    last = len(bounds) - 2
-    for i in range(len(bounds) - 1):
-        p0, p1 = bounds[i], bounds[i + 1]
-        if i == 0 and left_sing:
-            kappa = 1.0 / (1.0 + left_exponent)
-            segments.append(Segment(0.0, (p1 - lo) ** (1.0 / kappa), 1, kappa, lo))
-        elif i == last and right_sing:
-            kappa = 1.0 / (1.0 + right_exponent)
-            segments.append(Segment(0.0, (hi - p0) ** (1.0 / kappa), 2, kappa, hi))
-        else:
-            segments.append(Segment(p0, p1))
-    return segments
+    panels = [(f, p0, p1) for p0, p1 in zip(bounds, bounds[1:])]
+    if left_sing:
+        k_lo = 1.0 / (1.0 + spec.left_exponent)
 
+        def left(u):
+            return f(lo + u ** k_lo) * k_lo * u ** (k_lo - 1.0)
+        panels[0] = (left, 0.0, (bounds[1] - lo) ** (1.0 / k_lo))
+    if right_sing:
+        k_hi = 1.0 / (1.0 + spec.right_exponent)
 
-def _segment_integrand(f, seg):
-    if seg.mode == 0:
-        return f
-    kappa, anchor = seg.kappa, seg.anchor
-    if seg.mode == 1:
-        def g(u):
-            return f(anchor + u ** kappa) * kappa * u ** (kappa - 1.0)
-    else:
-        def g(u):
-            return f(anchor - u ** kappa) * kappa * u ** (kappa - 1.0)
-    return g
+        def right(u):
+            return f(hi - u ** k_hi) * k_hi * u ** (k_hi - 1.0)
+        panels[-1] = (right, 0.0, (hi - bounds[-2]) ** (1.0 / k_hi))
+    return panels
 
 
 # The tables unpacked, for the unrolled panel rule below.
@@ -160,9 +134,22 @@ _WK0, _WK1, _WK2, _WK3, _WK4, _WK5, _WK6, _WK7 = WGK
 _WG0, _WG1, _WG2, _WG3 = WG
 
 
-def _non_finite(f1, f2, left, right):
-    bad = left if not math.isfinite(f1) else right
-    return NonFiniteSample(f"integrand returned a non-finite value at {bad!r}")
+def _not_finite(a, b, samples):
+    """The error of a panel whose scaled |f| sum is not finite: the first
+    non-finite sample in evaluation order (centre, then l0, r0, l1, ...),
+    or an overflow when every sample is finite."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fc = samples[0]
+    if not math.isfinite(fc):
+        return NonFiniteSample(f"integrand returned {fc!r} at {c!r}")
+    for k in range(7):
+        dx = h * XGK[k]
+        for t, v in ((c - dx, samples[2 * k + 1]), (c + dx, samples[2 * k + 2])):
+            if not math.isfinite(v):
+                return NonFiniteSample(f"integrand returned a non-finite value at {t!r}")
+    return OverflowError(f"integral over the panel [{a!r}, {b!r}] exceeds the "
+                         "double-precision range")
 
 
 def _gk15(g, a, b):
@@ -171,48 +158,33 @@ def _gk15(g, a, b):
 
     The loop over the seven node pairs is unrolled, so the samples stay in
     locals; every sum still adds the centre term first and then the pairs
-    in table order, outermost first.  The Gauss nodes are pairs 1, 3, 5."""
-    isfinite = math.isfinite
+    in table order, outermost first.  The Gauss nodes are pairs 1, 3, 5.
+    The one finiteness test is on the scaled |f| sum, which a non-finite
+    sample or an overflowing panel makes infinite or nan."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fc = g(c)
-    if not isfinite(fc):
-        raise NonFiniteSample(f"integrand returned {fc!r} at {c!r}")
     dx = h * _XK0
     l0 = g(c - dx)
     r0 = g(c + dx)
-    if not (isfinite(l0) and isfinite(r0)):
-        raise _non_finite(l0, r0, c - dx, c + dx)
     dx = h * _XK1
     l1 = g(c - dx)
     r1 = g(c + dx)
-    if not (isfinite(l1) and isfinite(r1)):
-        raise _non_finite(l1, r1, c - dx, c + dx)
     dx = h * _XK2
     l2 = g(c - dx)
     r2 = g(c + dx)
-    if not (isfinite(l2) and isfinite(r2)):
-        raise _non_finite(l2, r2, c - dx, c + dx)
     dx = h * _XK3
     l3 = g(c - dx)
     r3 = g(c + dx)
-    if not (isfinite(l3) and isfinite(r3)):
-        raise _non_finite(l3, r3, c - dx, c + dx)
     dx = h * _XK4
     l4 = g(c - dx)
     r4 = g(c + dx)
-    if not (isfinite(l4) and isfinite(r4)):
-        raise _non_finite(l4, r4, c - dx, c + dx)
     dx = h * _XK5
     l5 = g(c - dx)
     r5 = g(c + dx)
-    if not (isfinite(l5) and isfinite(r5)):
-        raise _non_finite(l5, r5, c - dx, c + dx)
     dx = h * _XK6
     l6 = g(c - dx)
     r6 = g(c + dx)
-    if not (isfinite(l6) and isfinite(r6)):
-        raise _non_finite(l6, r6, c - dx, c + dx)
     resk = (_WK7 * fc + _WK0 * (l0 + r0) + _WK1 * (l1 + r1) + _WK2 * (l2 + r2)
             + _WK3 * (l3 + r3) + _WK4 * (l4 + r4) + _WK5 * (l5 + r5) + _WK6 * (l6 + r6))
     resg = _WG3 * fc + _WG0 * (l1 + r1) + _WG1 * (l3 + r3) + _WG2 * (l5 + r5)
@@ -231,6 +203,8 @@ def _gk15(g, a, b):
               + _WK6 * (abs(l6 - reskh) + abs(r6 - reskh)))
     value = resk * h
     resabs *= abs(h)
+    if not math.isfinite(resabs):
+        raise _not_finite(a, b, (fc, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6))
     resasc *= abs(h)
     err = abs((resk - resg) * h)
     if resasc != 0.0 and err != 0.0:
@@ -245,8 +219,9 @@ def integrate(f, lo, hi, spec=None):
     Raises ToleranceNotMet when more than ``MAX_SUBDIVISIONS`` bisections
     would be needed or when the tolerance lies below the rounding floor
     (rel_tol < 50*eps and abs_tol < 50*eps*|value|), which no error
-    estimate can pass, so the loop could only bisect to the budget; and
-    NonFiniteSample when ``f`` produces nan/inf at a sample point.
+    estimate can pass, so the loop could only bisect to the budget;
+    NonFiniteSample when ``f`` produces nan/inf at a sample point; and
+    OverflowError when a panel's integral exceeds the double range.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -255,14 +230,12 @@ def integrate(f, lo, hi, spec=None):
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"invalid integration interval [{lo}, {hi}]")
 
-    segments = build_segments(lo, hi, spec.split_points, spec.left_exponent, spec.right_exponent)
     # panels: list of (err, seq, g, a, b, value); worst panel by err, ties by seq
     panels = []
     seq = 0
-    for seg in segments:
-        g = _segment_integrand(f, seg)
-        value, err = _gk15(g, seg.u_lo, seg.u_hi)
-        panels.append([err, seq, g, seg.u_lo, seg.u_hi, value])
+    for g, u_lo, u_hi in _panels(f, lo, hi, spec):
+        value, err = _gk15(g, u_lo, u_hi)
+        panels.append([err, seq, g, u_lo, u_hi, value])
         seq += 1
 
     n_bisect = 0

@@ -236,43 +236,35 @@ def default_sweep_plan():
 class _Table(dict):
     """A per-run table: ``table[key]`` is ``compute(*key)``, computed on
     first use and kept for the rest of the run.  A numerical failure is
-    stored as None, which the hot loop tests, and its exception is kept in
-    ``errors[key]`` for the ERROR report of every point that needs it."""
+    kept as the entry's value and appended to ``failures``, a list the
+    run's tables share, so the hot loop tests values only once the run
+    has a failure."""
 
-    def __init__(self, compute):
+    def __init__(self, compute, failures):
         super().__init__()
         self._compute = compute
-        self.errors = {}
+        self._failures = failures
 
     def __missing__(self, key):
         try:
             value = self._compute(*key)
         except _NUMERICAL as exc:
-            self.errors[key] = exc
-            value = None
+            self._failures.append(exc)
+            value = exc
         self[key] = value
         return value
 
 
-def _kernel_coefficients(kernel, quad_tol):
-    """The coefficient tables of one kernel: (A1, A2, A3) per (alpha, lam)
-    for T1 and (B, M) per (alpha, lam, p) for T2, each computed in the
-    order of :func:`theorem1_bound` / :func:`theorem2_bound`, so a failing
-    entry keeps the first failure."""
-    def t1(alpha, lam):
-        a2 = coef_integral("A2", alpha, lam, kernel, quad_tol=quad_tol)
-        a3 = coef_integral("A3", alpha, lam, kernel, quad_tol=quad_tol)
-        return coef_a1(alpha, lam), a2, a3
-
-    def t2(alpha, lam, p):
-        return (coef_integral("B", alpha, lam, p=p, quad_tol=quad_tol),
-                coef_integral("M", 1.0, 0.0, kernel, quad_tol=quad_tol))
-
-    return _Table(t1), _Table(t2)
+def _raise_failure(*values):
+    """Raise the first of ``values`` that is a stored failure, without the
+    traceback of its earlier raises."""
+    for value in values:
+        if isinstance(value, Exception):
+            raise value.with_traceback(None)
 
 
 def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
-                quad_tol=1e-12, rhs_scale=1.0, coefficient_tables=None):
+                quad_tol=1e-12, rhs_scale=1.0):
     """The T1/T2 report of every point of a product grid for one function,
     in the order of the nested loops kernel, q, x, lambda, alpha, theorem;
     T2 points exist only where q > 1.  This is the only T1/T2 verdict
@@ -281,19 +273,18 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
     The work is staged over per-run tables, dicts that live for this call:
     the gate witness per (kernel, q), J1+J2 per (x, alpha), S per (x,
     lambda, alpha), |f''|^q at x, a and b per (x, q), and per kernel the
-    coefficients per (alpha, lambda[, p]).  The coefficient tables hold no
-    function, so :func:`sweep` shares them across its functions by passing
-    one ``coefficient_tables`` dict (kernel -> tables, filled here) to
-    every call.  Each report is assembled with the bound formulas of
-    :mod:`phi_ineq.bounds`.
+    coefficients (A1, A2, A3) per (alpha, lambda) and (B, M) per (alpha,
+    lambda, p), each computed in the order of :func:`theorem1_bound` /
+    :func:`theorem2_bound`.  Each report is assembled with the bound
+    formulas of :mod:`phi_ineq.bounds`.
 
     A point whose gate passes and whose margin is below ``-tol`` is
     re-run alone at 10x tighter quadrature tolerance, through
     :func:`s_functional` and :func:`theorem1_bound` / :func:`theorem2_bound`,
     before its verdict is taken.  A point that fails numerically gets an
-    ERROR report with the first failure in the order gate, J1+J2, S,
-    coefficients, |f''|^q, assembly (and re-run); p is left empty when the
-    gate itself failed."""
+    ERROR report with the first failure in the order gate, S (whose table
+    holds J1+J2's failure), coefficients, |f''|^q, assembly (and re-run);
+    p is left empty when the gate itself failed."""
     for theorem in theorems:
         if theorem not in ("T1", "T2"):
             raise DomainError(f"T1/T2 bounds only, got theorem {theorem!r}")
@@ -309,28 +300,19 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
     # every (x, lam, alpha) is checked as EvalParams checks it
     params = {(x, lam, alpha): EvalParams(dom, x=x, lam=lam, alpha=alpha)
               for x in xs for lam in lams for alpha in alphas}
-    if coefficient_tables is None:
-        coefficient_tables = {}
 
-    witnesses = _Table(lambda kernel, q: _hypothesis_witness(fn, q, kernel))
-    j_sums = _Table(lambda x, alpha: fractional_sum(fn, a, b, x, alpha, quad_tol=quad_tol))
+    failures = []
+    witnesses = _Table(lambda kernel, q: _hypothesis_witness(fn, q, kernel), failures)
+    j_sums = _Table(lambda x, alpha: fractional_sum(fn, a, b, x, alpha, quad_tol=quad_tol),
+                    failures)
 
     def s_value(x, lam, alpha):
         j_sum = j_sums[x, alpha]
-        if j_sum is None:
-            return None
+        _raise_failure(j_sum)
         return s_functional(fn, params[x, lam, alpha], quad_tol=quad_tol, j_sum=j_sum)
 
-    s_values = _Table(s_value)
-    powers = _Table(lambda x, q: f2_powers(fn, a, b, x, q))
-
-    def first_failure(kernel, q, x, lam, alpha, p):
-        t1_coefs, t2_coefs = coefficient_tables[kernel]
-        coefs = (t1_coefs, (alpha, lam)) if p is None else (t2_coefs, (alpha, lam, p))
-        for table, key in ((witnesses, (kernel, q)), (j_sums, (x, alpha)),
-                           (s_values, (x, lam, alpha)), coefs, (powers, (x, q))):
-            if key in table.errors:
-                return table.errors[key]
+    s_values = _Table(s_value, failures)
+    powers = _Table(lambda x, q: f2_powers(fn, a, b, x, q), failures)
 
     def tight_rerun(kernel, q, x, lam, alpha, t1):
         point = EvalParams(dom, x=x, lam=lam, alpha=alpha, q=q)
@@ -343,9 +325,18 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
     append = reports.append
     for kernel in kernels:
         label = kernel.label
-        if kernel not in coefficient_tables:
-            coefficient_tables[kernel] = _kernel_coefficients(kernel, quad_tol)
-        t1_coefs, t2_coefs = coefficient_tables[kernel]
+
+        def t1_coefficients(alpha, lam):
+            a2 = coef_integral("A2", alpha, lam, kernel, quad_tol=quad_tol)
+            a3 = coef_integral("A3", alpha, lam, kernel, quad_tol=quad_tol)
+            return coef_a1(alpha, lam), a2, a3
+
+        def t2_coefficients(alpha, lam, p):
+            return (coef_integral("B", alpha, lam, p=p, quad_tol=quad_tol),
+                    coef_integral("M", 1.0, 0.0, kernel, quad_tol=quad_tol))
+
+        t1_coefs = _Table(t1_coefficients, failures)
+        t2_coefs = _Table(t2_coefficients, failures)
         for q in qs:
             row_theorems = [t for t in theorems if t == "T1" or q > 1.0]
             if not row_theorems:
@@ -360,18 +351,12 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
                         for theorem in row_theorems:
                             t1 = theorem == "T1"
                             row_p = None if t1 else p
-                            coefs = None
-                            if witness is not None and s is not None:
-                                coefs = t1_coefs[alpha, lam] if t1 else t2_coefs[alpha, lam, p]
-                            if coefs is None or fq is None:
-                                append(BoundReport(
-                                    fn.name, label, theorem, a, b, x, lam, alpha, q,
-                                    None if witness is None else row_p, kernel.s,
-                                    None, None, None, False, STATUS_ERROR,
-                                    message=str(first_failure(kernel, q, x, lam, alpha, row_p)),
-                                ))
-                                continue
                             try:
+                                if failures:
+                                    _raise_failure(witness, s)
+                                coefs = t1_coefs[alpha, lam] if t1 else t2_coefs[alpha, lam, p]
+                                if failures:
+                                    _raise_failure(coefs, fq)
                                 if t1:
                                     bound = power_mean_rhs(a, b, x, alpha, q, coefs, fq)
                                 else:
@@ -383,9 +368,9 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
                                     lhs, rhs = tight_rerun(kernel, q, x, lam, alpha, t1)
                             except _NUMERICAL as exc:
                                 append(BoundReport(
-                                    fn.name, label, theorem, a, b, x, lam, alpha, q, row_p,
-                                    kernel.s, None, None, None, False, STATUS_ERROR,
-                                    message=str(exc),
+                                    fn.name, label, theorem, a, b, x, lam, alpha, q,
+                                    None if exc is witness else row_p, kernel.s,
+                                    None, None, None, False, STATUS_ERROR, message=str(exc),
                                 ))
                                 continue
                             margin = rhs - lhs
@@ -402,13 +387,12 @@ def sweep(plan, *, quad_tol=1e-12, rhs_scale=1.0):
     (function, kernel, theorem, x, lambda, alpha, q).
 
     Each function's points go through :func:`verify_grid`, which also
-    re-runs and reports ERROR per point; the coefficient tables are shared
-    by all functions and, like verify_grid's own tables, are dropped when
-    the sweep returns.  The two caches that outlive a run are the gate
-    witnesses of :func:`_hypothesis_witness` and the coefficient integrals
-    of :mod:`phi_ineq.coefquad`, which one-point callers need."""
+    re-runs and reports ERROR per point.  The two caches that outlive a
+    run are the gate witnesses of :func:`_hypothesis_witness` and the
+    coefficient integrals of :mod:`phi_ineq.coefquad`, which one-point
+    callers need and which answer the coefficients that each function's
+    run asks for again."""
     reg = registry()
-    coefficient_tables = {}
     reports = []
     for name in plan.function_names:
         fn = reg[name]
@@ -416,7 +400,7 @@ def sweep(plan, *, quad_tol=1e-12, rhs_scale=1.0):
         reports.extend(verify_grid(
             fn, plan.kernels, plan.q, [a + (b - a) * xi for xi in plan.x_rel],
             plan.lam, plan.alpha, ("T1", "T2"), tol=plan.tol, quad_tol=quad_tol,
-            rhs_scale=rhs_scale, coefficient_tables=coefficient_tables,
+            rhs_scale=rhs_scale,
         ))
     reports.sort(key=_sort_key)
     return reports

@@ -177,11 +177,40 @@ class TestExitCodes:
     def test_fn_value_may_start_with_minus(self, fn, capsys):
         # argparse used to read a leading minus as a flag and exit 2 with
         # "argument --fn: expected one argument"
-        assert main(["verify", "--fn", fn, "--theorem", "hh"]) == 0
+        with pytest.warns(UserWarning, match="negative values"):
+            assert main(["verify", "--fn", fn, "--theorem", "hh"]) == 0
         spaced = capsys.readouterr().out
         assert spaced.splitlines()[1].startswith(f"{fn},")
-        assert main(["verify", f"--fn={fn}", "--theorem", "hh"]) == 0
+        with pytest.warns(UserWarning, match="negative values"):
+            assert main(["verify", f"--fn={fn}", "--theorem", "hh"]) == 0
         assert capsys.readouterr().out == spaced
+
+    @pytest.mark.parametrize("argv, column, value", [
+        (["--a", "-1e-3", "--theorem", "hh"], "a", "-0.001"),
+        (["--a", "-1e-3", "--x", "-5e-4"], "x", "-0.0005"),
+        (["--x", "-5e-4", "--a=-1e-3"], "x", "-0.0005"),
+    ])
+    def test_flag_value_in_exponent_notation_may_start_with_minus(self, argv, column,
+                                                                  value, capsys):
+        # argparse read -1e-3 as a flag and exited 2 with
+        # "argument --a: expected one argument"
+        assert main(["verify", "--fn", "t^2", *argv]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))[column] == value
+
+    @pytest.mark.parametrize("argv", [
+        ["--b", "1e77"],
+        ["--b", "1e77", "--theorem", "lemma1"],
+        ["--b", "1e77", "--theorem", "hh"],
+        ["--b", "1e76"],
+    ])
+    def test_overflowing_integral_is_three(self, argv, capsys):
+        # the integral of t^4 exceeds the double range: it was inf, and the
+        # verdict FAIL, or PASS for lemma1, whose lhs was -inf
+        assert main(["verify", "--fn", "t^4", "--a", "0", *argv, "--format", "json"]) == 3
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert report["status"] == "ERROR"
+        assert report["message"].endswith("exceeds the double-precision range")
 
     @pytest.mark.parametrize("kernel", [[], ["--kernel", "constant"], ["--kernel", "mt"]])
     def test_s_without_power_kernel_is_two(self, kernel, capsys):
@@ -236,6 +265,8 @@ class TestExitCodes:
         (["--alpha", "inf"], "alpha must be positive and finite"),
         (["--q", "inf"], "q must be finite and >= 1"),
         (["--quad-tol", "inf"], "--quad-tol must be positive and finite"),
+        (["--inject-bound-scale", "inf"], "--inject-bound-scale must be finite, got inf"),
+        (["--inject-bound-scale", "nan"], "--inject-bound-scale must be finite, got nan"),
     ])
     def test_non_finite_flag_is_two(self, argv, reason, capsys):
         # --tol inf turned a zeroed bound into PASS; alpha or q = inf gave ERROR
@@ -247,6 +278,8 @@ class TestExitCodes:
         ({"alpha": [float("inf")]}, [], "alpha inf outside (0, inf)"),
         ({"q": [float("inf")]}, [], "q inf outside [1, inf)"),
         ({}, ["--tol", "inf"], "--tol must be positive and finite"),
+        ({}, ["--inject-bound-scale", "nan"], "--inject-bound-scale must be finite, got nan"),
+        ({}, ["--inject-bound-scale", "-inf"], "--inject-bound-scale must be finite, got -inf"),
     ])
     def test_non_finite_plan_value_is_two(self, plan, argv, reason, tmp_path, capsys):
         plan_file = tmp_path / "plan.json"

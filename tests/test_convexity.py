@@ -1,9 +1,11 @@
 """Kernel evaluation and convexity-checker tests."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
-from phi_ineq.convexity import PhiKernel, check_phi_convex, phi_eval
+from phi_ineq.convexity import PhiKernel, check_phi_convex, phi_function
 from phi_ineq.errors import DomainError
 from phi_ineq.fracint import Interval
 
@@ -12,17 +14,15 @@ CONST = PhiKernel.constant()
 MT = PhiKernel.mt()
 
 
-def test_phi_eval_values():
-    assert phi_eval(CONST, 0.3) == 1.0
-    assert phi_eval(PhiKernel.power(0.5), 0.25) == pytest.approx(2.0, rel=1e-14)
-    assert phi_eval(MT, 0.5) == pytest.approx(1.0, rel=1e-14)
-    assert phi_eval(PhiKernel.power(1.0), 0.7) == 1.0
+def _warns_if(negative):
+    return pytest.warns(UserWarning, match="negative values") if negative else nullcontext()
 
 
-def test_phi_eval_domain():
-    for t in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(DomainError):
-            phi_eval(MT, t)
+def test_phi_function_values():
+    assert phi_function(CONST)(0.3) == 1.0
+    assert phi_function(PhiKernel.power(0.5))(0.25) == pytest.approx(2.0, rel=1e-14)
+    assert phi_function(MT)(0.5) == pytest.approx(1.0, rel=1e-14)
+    assert phi_function(PhiKernel.power(1.0))(0.7) == 1.0
 
 
 def test_kernel_validation():
@@ -47,14 +47,16 @@ def test_convex_function_passes():
 
 
 def test_concave_function_fails_with_witness():
-    w = check_phi_convex(lambda t: -t * t, CONST, UNIT)
+    with pytest.warns(UserWarning, match="negative values"):
+        w = check_phi_convex(lambda t: -t * t, CONST, UNIT)
     assert not w.holds
     assert w.worst_violation > 0.0
     x, y, t = w.witness_point
     # the witness reproduces the reported violation
     g = lambda u: -u * u
     lhs = g(t * x + (1.0 - t) * y)
-    rhs = t * phi_eval(CONST, t) * g(x) + (1.0 - t) * phi_eval(CONST, 1.0 - t) * g(y)
+    phi = phi_function(CONST)
+    rhs = t * phi(t) * g(x) + (1.0 - t) * phi(1.0 - t) * g(y)
     assert lhs - rhs == pytest.approx(w.worst_violation, rel=1e-12)
 
 
@@ -76,15 +78,18 @@ def test_mt_requires_nonnegative_function():
 
 
 def test_negative_function_warns_for_other_kernels():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="negative values"):
         w = check_phi_convex(lambda t: t - 0.5, CONST, UNIT)
     assert w.holds  # linear functions are convex
 
 
 def test_power_one_coincides_with_constant():
     for g in (lambda t: t * t, lambda t: -t * t, lambda t: np.exp(t)):
-        w1 = check_phi_convex(g, CONST, UNIT)
-        w2 = check_phi_convex(g, PhiKernel.power(1.0), UNIT)
+        # only -t*t takes negative values, and both kernels say so
+        with _warns_if(g(0.5) < 0.0):
+            w1 = check_phi_convex(g, CONST, UNIT)
+        with _warns_if(g(0.5) < 0.0):
+            w2 = check_phi_convex(g, PhiKernel.power(1.0), UNIT)
         assert w1.holds == w2.holds
         assert w1.worst_violation == pytest.approx(w2.worst_violation, abs=1e-14)
         assert w1.witness_point == w2.witness_point
@@ -111,7 +116,9 @@ def test_reflection_symmetry_of_verdict():
 
 def test_witness_determinism():
     g = lambda t: -np.cosh(t)
-    w1 = check_phi_convex(g, CONST, UNIT)
-    w2 = check_phi_convex(g, CONST, UNIT)
+    with pytest.warns(UserWarning, match="negative values"):
+        w1 = check_phi_convex(g, CONST, UNIT)
+    with pytest.warns(UserWarning, match="negative values"):
+        w2 = check_phi_convex(g, CONST, UNIT)
     assert w1 == w2
 

@@ -11,8 +11,9 @@ from phi_ineq.errors import DomainError, NonFiniteSample, ToleranceNotMet
 from phi_ineq.quadrature import (
     WG,
     WGK,
+    XGK,
     QuadratureSpec,
-    build_segments,
+    _panels,
     integrate,
 )
 
@@ -159,15 +160,49 @@ def test_invalid_specs():
         integrate(lambda t: t, 0.0, 1.0, QuadratureSpec(split_points=(2.0,)))
 
 
-def test_build_segments_layout():
-    segs = build_segments(0.0, 1.0, (0.25,), -0.5, 0.0)
-    assert len(segs) == 2
-    assert segs[0].mode == 1 and segs[0].kappa == 2.0 and segs[0].anchor == 0.0
-    assert segs[1].mode == 0
+def test_panels_layout():
+    f = lambda t: t
+    # exponent -0.5 gives kappa = 2: g(u) = f(lo + u**2) * 2u on [0, width**0.5]
+    (g0, lo0, hi0), (g1, lo1, hi1) = _panels(f, 0.0, 1.0, QuadratureSpec(
+        split_points=(0.25,), left_exponent=-0.5))
+    assert g0 is not f and (lo0, hi0) == (0.0, 0.5) and g0(0.5) == 0.25 * 2.0 * 0.5
+    assert g1 is f and (lo1, hi1) == (0.25, 1.0)
     # both ends singular with no split: a midpoint split is inserted
-    segs = build_segments(0.0, 1.0, (), -0.5, -0.5)
-    assert len(segs) == 2
-    assert segs[0].mode == 1 and segs[1].mode == 2
+    (g0, lo0, hi0), (g1, lo1, hi1) = _panels(f, 0.0, 1.0, QuadratureSpec(
+        left_exponent=-0.5, right_exponent=-0.5))
+    assert (lo0, hi0) == (lo1, hi1) == (0.0, 0.5 ** 0.5)
+    assert g0(0.5) == 0.25 * 2.0 * 0.5 and g1(0.5) == 0.75 * 2.0 * 0.5
+    # no structure: the one panel is f itself
+    assert _panels(f, 0.0, 1.0, QuadratureSpec()) == [(f, 0.0, 1.0)]
+
+
+def test_non_finite_sample_names_the_first_bad_node():
+    nan = float("nan")
+    with pytest.raises(NonFiniteSample, match=r"^integrand returned nan at 0\.5$"):
+        integrate(lambda t: nan if t == 0.5 else 1.0, 0.0, 1.0)
+    # a pair node only; the later inf does not win over it
+    node = 0.5 + 0.5 * XGK[3]
+    bad = {node: nan, 0.5 - 0.5 * XGK[5]: float("inf")}
+    with pytest.raises(NonFiniteSample) as info:
+        integrate(lambda t: bad.get(t, 1.0), 0.0, 1.0)
+    assert str(info.value) == f"integrand returned a non-finite value at {node!r}"
+
+
+def test_exception_at_a_later_node_wins_over_a_non_finite_sample():
+    # every node of a panel is sampled before the one finiteness test
+    def f(t):
+        if t == 0.5 + 0.5 * XGK[6]:
+            raise ZeroDivisionError("late node")
+        return float("nan") if t == 0.5 - 0.5 * XGK[0] else 1.0
+    with pytest.raises(ZeroDivisionError, match="late node"):
+        integrate(f, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("f", [lambda t: 1e308, lambda t: 1e308 if t < 0.5 else -1e308])
+def test_overflowing_integral_raises(f):
+    # every sample is finite but the panel sums are not
+    with pytest.raises(OverflowError, match="exceeds the double-precision range"):
+        integrate(f, 0.0, 1.0)
 
 
 def test_determinism():
