@@ -18,6 +18,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .bounds import EvalParams
 from .convexity import PhiKernel
 from .errors import DomainError, PhiIneqError, UsageError
@@ -372,9 +374,12 @@ def execute(config):
 
 
 def main(argv=None):
+    # numpy's floating-point warnings stay off stderr: a non-finite value
+    # is a usage error, an ERROR row or, for a bound beyond range, rhs inf
     try:
-        config = parse_config(argv if argv is not None else sys.argv[1:])
-        return execute(config)
+        with np.errstate(all="ignore"):
+            config = parse_config(argv if argv is not None else sys.argv[1:])
+            return execute(config)
     except UsageError as exc:
         for violation in exc.violations:
             print(f"usage error: {violation}", file=sys.stderr)

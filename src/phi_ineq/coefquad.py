@@ -23,9 +23,8 @@ loop never has to discover either.
 The process-wide cache on :func:`_cached` answers the repeats the
 callers' keys leave (B is the same for every kernel, M for every
 (alpha, lam, p)) and the repeats across calls: ``verify_point`` is a
-one-point grid whose tables die with it, the grid's tight re-run asks
-through the bound functions, and the ledger and the selftest ask for the
-same integrals again.
+one-point grid whose tables die with it, and the ledger and the selftest
+ask for the same integrals again.
 """
 
 from __future__ import annotations

@@ -154,7 +154,7 @@ def _not_finite(a, b, samples):
 
 def _gk15(g, a, b):
     """Kronrod / Gauss pair on one panel with a QUADPACK-style error
-    estimate.  Returns (value, err).
+    estimate.  Returns (value, err, resabs), resabs estimating int|g|.
 
     The loop over the seven node pairs is unrolled, so the samples stay in
     locals; every sum still adds the centre term first and then the pairs
@@ -210,7 +210,7 @@ def _gk15(g, a, b):
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     err = max(err, _ROUNDING_FLOOR * resabs)
-    return value, err
+    return value, err, resabs
 
 
 def integrate(f, lo, hi, spec=None):
@@ -218,7 +218,7 @@ def integrate(f, lo, hi, spec=None):
 
     Raises ToleranceNotMet when more than ``MAX_SUBDIVISIONS`` bisections
     would be needed or when the tolerance lies below the rounding floor
-    (rel_tol < 50*eps and abs_tol < 50*eps*|value|), which no error
+    (max(abs_tol, rel_tol*|value|) < 50*eps*int|f|), which no error
     estimate can pass, so the loop could only bisect to the budget;
     NonFiniteSample when ``f`` produces nan/inf at a sample point; and
     OverflowError when a panel's integral exceeds the double range.
@@ -230,24 +230,28 @@ def integrate(f, lo, hi, spec=None):
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"invalid integration interval [{lo}, {hi}]")
 
-    # panels: list of (err, seq, g, a, b, value); worst panel by err, ties by seq
+    # panels: list of (err, seq, g, a, b, value, resabs); worst panel by
+    # err, ties by seq.  mass is the running sum of the panels' resabs.
     panels = []
     seq = 0
+    mass = 0.0
     for g, u_lo, u_hi in _panels(f, lo, hi, spec):
-        value, err = _gk15(g, u_lo, u_hi)
-        panels.append([err, seq, g, u_lo, u_hi, value])
+        value, err, resabs = _gk15(g, u_lo, u_hi)
+        panels.append([err, seq, g, u_lo, u_hi, value, resabs])
+        mass += resabs
         seq += 1
 
     n_bisect = 0
     while True:
         total = math.fsum(p[5] for p in panels)
         total_err = math.fsum(p[0] for p in panels)
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        if total_err <= tol:
             return QuadResult(total, total_err, n_bisect)
-        if spec.rel_tol < _ROUNDING_FLOOR and spec.abs_tol < _ROUNDING_FLOOR * abs(total):
+        if tol < _ROUNDING_FLOOR * mass:
             raise ToleranceNotMet(
                 f"tolerance (abs {spec.abs_tol:.1e}, rel {spec.rel_tol:.1e}) lies below "
-                f"the rounding floor 50*eps*|value| (error estimate {total_err:.3e}, "
+                f"the rounding floor 50*eps*int|f| (error estimate {total_err:.3e}, "
                 f"value {total:.6e})"
             )
         if n_bisect >= MAX_SUBDIVISIONS:
@@ -257,12 +261,13 @@ def integrate(f, lo, hi, spec=None):
             )
         worst = max(panels, key=lambda p: (p[0], -p[1]))
         panels.remove(worst)
-        _, _, g, a, b, _ = worst
+        _, _, g, a, b, _, resabs = worst
         mid = 0.5 * (a + b)
-        v1, e1 = _gk15(g, a, mid)
-        v2, e2 = _gk15(g, mid, b)
-        panels.append([e1, seq, g, a, mid, v1])
+        v1, e1, r1 = _gk15(g, a, mid)
+        v2, e2, r2 = _gk15(g, mid, b)
+        mass += r1 + r2 - resabs
+        panels.append([e1, seq, g, a, mid, v1, r1])
         seq += 1
-        panels.append([e2, seq, g, mid, b, v2])
+        panels.append([e2, seq, g, mid, b, v2, r2])
         seq += 1
         n_bisect += 1

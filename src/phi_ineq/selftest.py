@@ -13,14 +13,21 @@ from __future__ import annotations
 import math
 import random
 
-from .bounds import EvalParams, coef_a1, identity_rhs, s_functional, theorem1_bound
+from .bounds import EvalParams, coef_a1, identity_rhs, s_functional
 from .coefquad import coef_integral
 from .convexity import PhiKernel
 from .fracint import rl_left, rl_right
 from .functions import SMOOTH_BATTERY, registry
 from .report import build_ledger, find_entry
 from .specfun import gamma, gauss_2f1, incomplete_beta
-from .verify import default_sweep_plan, hermite_hadamard_check, sweep, sweep_summary
+from .verify import (
+    default_sweep_plan,
+    hermite_hadamard_check,
+    identity_tolerance,
+    sweep,
+    sweep_summary,
+    verify_point,
+)
 
 BATTERY_SEED = 20260809
 BATTERY_TUPLES = 20
@@ -47,7 +54,7 @@ def lemma_identity_battery():
             s_val = s_functional(fn, params)
             rhs = identity_rhs(fn, params)
             resid = abs(s_val - rhs)
-            allowed = 1e-8 * max(1.0, abs(s_val))
+            allowed = identity_tolerance(s_val)
             rows.append((name, x, lam, alpha, s_val, rhs, resid, allowed))
     return rows
 
@@ -61,15 +68,16 @@ EQUALITY_CASES = (
 
 
 def equality_case_rows():
+    """(function, lam, lhs, rhs, expected lhs) of each equality case, with
+    lhs and rhs from the T1 verdict path."""
     reg = registry()
     k = PhiKernel.constant()
     rows = []
     for name, lam, expected in EQUALITY_CASES:
         fn = reg[name]
         params = EvalParams(fn.domain, x=0.5, lam=lam, alpha=1.0, q=1.0)
-        lhs = abs(s_functional(fn, params))
-        rhs = theorem1_bound(fn, params, k)
-        rows.append((name, lam, lhs, rhs, expected))
+        r = verify_point(fn, params, k, "T1")
+        rows.append((name, lam, r.lhs, r.rhs, expected))
     return rows
 
 

@@ -3,27 +3,18 @@ identity residual, the classical midpoint/mean/endpoint warm-up check and
 deterministic parameter sweeps.
 
 Every check produces a :class:`BoundReport` carrying only what a verdict
-emits: lhs, rhs, margin, the hypothesis flag and the status (plus the
-warm-up's midpoint/mean/endpoint triple).  Values are builtin floats,
-coerced once where they are computed.  A report FAILs only when the
-hypothesis gate (phi-convexity of |f''|**q, checked empirically on a grid)
-passed and the bound is still violated beyond tolerance; a point whose
-hypothesis fails is tagged HYPOTHESIS_UNMET and never counts as a
-violation.  Before declaring FAIL the point is re-run at 10x tighter
-quadrature tolerance to rule out integration noise.  A numerical failure
-(PhiIneqError, overflow, division by zero) becomes an ERROR report with
-the failure's message.
+emits, as builtin floats.  A report FAILs only when the hypothesis gate
+(phi-convexity of |f''|**q, checked empirically on a grid) passed and the
+bound is still violated beyond tolerance, with |S| taken from Lemma 1's
+form (:func:`identity_rhs`); a point whose hypothesis fails is tagged
+HYPOTHESIS_UNMET.  A numerical failure (PhiIneqError, overflow, division
+by zero) becomes an ERROR report with the failure's message.
 
-Every T1/T2 verdict comes from one path, :func:`verify_grid`, which
-evaluates a product grid in stages over per-run tables, dicts that live
-for one call: each distinct J1+J2, S, |f''|^q and coefficient is computed
-once and every report is assembled from them with the formulas of
-:mod:`phi_ineq.bounds`.  The grid also does the tight re-run and the
-ERROR rows itself.  :func:`verify_point` is its one-point form and
-:func:`sweep` calls it once per function.  Two caches outlive a run,
-because one-point callers repeat their keys across calls: the gate
-witnesses of :func:`_hypothesis_witness` and the coefficient integrals
-of :mod:`phi_ineq.coefquad`.
+Every T1/T2 verdict comes from :func:`verify_grid`: :func:`verify_point`
+is its one-point form and :func:`sweep` calls it once per function.  Two
+caches outlive a run, because one-point callers repeat their keys across
+calls: the gate witnesses of :func:`_hypothesis_witness` and the
+coefficient integrals of :mod:`phi_ineq.coefquad`.
 """
 
 from __future__ import annotations
@@ -41,8 +32,6 @@ from .bounds import (
     identity_rhs,
     power_mean_rhs,
     s_functional,
-    theorem1_bound,
-    theorem2_bound,
 )
 from .coefquad import coef_integral
 from .convexity import PhiKernel, check_phi_convex
@@ -133,9 +122,14 @@ def verify_point(fn, params, kernel, theorem, *, tol=1e-9, quad_tol=1e-12, rhs_s
     return report
 
 
+def identity_tolerance(s):
+    """The largest residual |S - identity_rhs| that passes: 1e-8 * max(1, |S|)."""
+    return 1e-8 * max(1.0, abs(s))
+
+
 def identity_check(fn, params, *, quad_tol=1e-12):
     """Residual of S against its second-derivative integral form.  PASS
-    when |S - rhs| <= 1e-8 * max(1, |S|)."""
+    when the residual is at most :func:`identity_tolerance`."""
     base = dict(
         function=fn.name, kernel="", theorem="LEMMA1",
         a=params.a, b=params.b, x=params.x, lam=params.lam, alpha=params.alpha,
@@ -146,7 +140,7 @@ def identity_check(fn, params, *, quad_tol=1e-12):
         lhs = float(s_functional(fn, params, quad_tol=quad_tol))
         rhs = float(identity_rhs(fn, params, quad_tol=quad_tol))
         resid = abs(lhs - rhs)
-        ok = resid <= 1e-8 * max(1.0, abs(lhs))
+        ok = resid <= identity_tolerance(lhs)
         return dict(lhs=lhs, rhs=rhs, margin=resid, hypothesis_ok=True,
                     status=STATUS_PASS if ok else STATUS_FAIL)
 
@@ -267,24 +261,22 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
                 quad_tol=1e-12, rhs_scale=1.0):
     """The T1/T2 report of every point of a product grid for one function,
     in the order of the nested loops kernel, q, x, lambda, alpha, theorem;
-    T2 points exist only where q > 1.  This is the only T1/T2 verdict
-    path: :func:`verify_point`, :func:`sweep` and the CLI all come here.
+    T2 points exist only where q > 1.
 
     The work is staged over per-run tables, dicts that live for this call:
     the gate witness per (kernel, q), J1+J2 per (x, alpha), S per (x,
     lambda, alpha), |f''|^q at x, a and b per (x, q), and per kernel the
     coefficients (A1, A2, A3) per (alpha, lambda) and (B, M) per (alpha,
-    lambda, p), each computed in the order of :func:`theorem1_bound` /
-    :func:`theorem2_bound`.  Each report is assembled with the bound
-    formulas of :mod:`phi_ineq.bounds`.
+    lambda, p).  Each report is assembled with the bound formulas of
+    :mod:`phi_ineq.bounds`.
 
-    A point whose gate passes and whose margin is below ``-tol`` is
-    re-run alone at 10x tighter quadrature tolerance, through
-    :func:`s_functional` and :func:`theorem1_bound` / :func:`theorem2_bound`,
-    before its verdict is taken.  A point that fails numerically gets an
-    ERROR report with the first failure in the order gate, S (whose table
-    holds J1+J2's failure), coefficients, |f''|^q, assembly (and re-run);
-    p is left empty when the gate itself failed."""
+    A point whose gate passes and whose margin is below ``-tol`` takes
+    its lhs from :func:`identity_rhs` at the same ``quad_tol``, keeps its
+    rhs, and gets its verdict from that pair.  A point that fails
+    numerically gets an ERROR report with the first failure in the order
+    gate, S (whose table holds J1+J2's failure), coefficients, |f''|^q,
+    assembly and that confirmation; p is left empty when the gate itself
+    failed."""
     for theorem in theorems:
         if theorem not in ("T1", "T2"):
             raise DomainError(f"T1/T2 bounds only, got theorem {theorem!r}")
@@ -313,13 +305,6 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
 
     s_values = _Table(s_value, failures)
     powers = _Table(lambda x, q: f2_powers(fn, a, b, x, q), failures)
-
-    def tight_rerun(kernel, q, x, lam, alpha, t1):
-        point = EvalParams(dom, x=x, lam=lam, alpha=alpha, q=q)
-        bound = theorem1_bound if t1 else theorem2_bound
-        tight = quad_tol / 10.0
-        return (float(abs(s_functional(fn, point, quad_tol=tight))),
-                float(bound(fn, point, kernel, quad_tol=tight) * rhs_scale))
 
     reports = []
     append = reports.append
@@ -365,7 +350,8 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
                                 rhs = float(bound * rhs_scale)
                                 holds = witness.holds
                                 if holds and rhs - lhs < -tol:
-                                    lhs, rhs = tight_rerun(kernel, q, x, lam, alpha, t1)
+                                    lhs = float(abs(identity_rhs(
+                                        fn, params[x, lam, alpha], quad_tol=quad_tol)))
                             except _NUMERICAL as exc:
                                 append(BoundReport(
                                     fn.name, label, theorem, a, b, x, lam, alpha, q,
@@ -382,16 +368,10 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
 
 
 def sweep(plan, *, quad_tol=1e-12, rhs_scale=1.0):
-    """Run the full Cartesian product of the plan; T2 points exist only
-    where q > 1 (p is derived as q/(q-1)).  Reports come back sorted by
-    (function, kernel, theorem, x, lambda, alpha, q).
-
-    Each function's points go through :func:`verify_grid`, which also
-    re-runs and reports ERROR per point.  The two caches that outlive a
-    run are the gate witnesses of :func:`_hypothesis_witness` and the
-    coefficient integrals of :mod:`phi_ineq.coefquad`, which one-point
-    callers need and which answer the coefficients that each function's
-    run asks for again."""
+    """Run the full Cartesian product of the plan through one
+    :func:`verify_grid` per function; T2 points exist only where q > 1 (p
+    is derived as q/(q-1)).  Reports come back sorted by (function,
+    kernel, theorem, x, lambda, alpha, q)."""
     reg = registry()
     reports = []
     for name in plan.function_names:

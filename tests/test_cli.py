@@ -212,6 +212,46 @@ class TestExitCodes:
         assert report["status"] == "ERROR"
         assert report["message"].endswith("exceeds the double-precision range")
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--fn", "exp(t)", "--a", "0", "--b", "709"], 0),
+        (["--fn", "exp(t)", "--a", "0", "--b", "709", "--q", "2"], 3),
+        (["--fn", "exp(t)", "--a", "0", "--b", "800"], 2),
+        (["--fn", "ln(t)", "--a", "0", "--b", "1", "--q", "2"], 3),
+        (["--fn", "ln(t)", "--a", "-1", "--b", "1"], 2),
+    ])
+    def test_numpy_warnings_stay_off_stderr(self, argv, code, capsys):
+        # numpy overflow, divide and invalid-value warnings escaped from
+        # the quadrature, the gate and the domain check; under
+        # filterwarnings = error the first command died with a traceback
+        assert main(["verify", *argv]) == code
+        err = capsys.readouterr().err
+        assert "Warning" not in err
+        if code != 2:
+            assert err == ""
+
+    def test_cancellation_off_the_unit_interval_is_not_a_fail(self, capsys):
+        # the four-term S loses ~1e-9 to cancellation here; Lemma 1's form
+        # gives |S| = 85.277077811097631 (mpmath), which equals the bound
+        assert main(["verify", "--fn", "t^3", "--a", "100", "--b", "101",
+                     "--lambda", "0", "--alpha", "0.5"]) == 0
+        assert capsys.readouterr().out.endswith(",true,PASS\n")
+
+    def test_confirmation_below_the_rounding_floor_is_three(self, capsys):
+        # at lam = 2/(alpha+2) Lemma 1's integrand cancels to 1e-3 of its
+        # |f''| mass of 6e6; this was FAIL with lhs 4.0 against rhs 0.094
+        assert main(["verify", "--fn", "t^3", "--a", "1e6", "--b", "1000000.01",
+                     "--lambda", "0.5", "--alpha", "2", "--format", "json"]) == 3
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert report["status"] == "ERROR"
+        assert "lies below the rounding floor 50*eps*int|f|" in report["message"]
+
+    def test_fail_takes_lhs_from_lemma1(self, capsys):
+        assert main(["verify", "--fn", "t^2", "--inject-bound-scale", "0.5"]) == 1
+        header, row = capsys.readouterr().out.splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["status"] == "FAIL"
+        assert fields["lhs"] == "0.16666666666666666"
+
     @pytest.mark.parametrize("kernel", [[], ["--kernel", "constant"], ["--kernel", "mt"]])
     def test_s_without_power_kernel_is_two(self, kernel, capsys):
         # s is the power kernel's exponent; the check used to run without

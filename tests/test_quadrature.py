@@ -133,6 +133,22 @@ def test_tolerance_below_rounding_floor_stops_at_once():
     assert evals < 100
 
 
+def test_cancelling_integrand_stops_at_once():
+    # the default tolerance asks for 1e-10 of the value 1e-3, far below
+    # 50*eps of the integral of |f| (2.5e5); the engine used to bisect to
+    # its 2000-subdivision budget, 60,015 evaluations
+    evals = 0
+
+    def f(t):
+        nonlocal evals
+        evals += 1
+        return 1e6 * (t - 0.5) + 1e-3
+
+    with pytest.raises(ToleranceNotMet, match=r"rounding floor 50\*eps\*int\|f\|"):
+        integrate(f, 0.0, 1.0)
+    assert evals < 100
+
+
 def test_zero_integrand_meets_any_tolerance():
     res = integrate(lambda t: 0.0, 0.0, 1.0, QuadratureSpec(abs_tol=1e-31, rel_tol=1e-31))
     assert res.value == 0.0 and res.subdivisions_used == 0

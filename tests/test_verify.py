@@ -7,7 +7,13 @@ from contextlib import nullcontext
 import pytest
 
 from phi_ineq import bounds, verify
-from phi_ineq.bounds import EvalParams, s_functional, theorem1_bound, theorem2_bound
+from phi_ineq.bounds import (
+    EvalParams,
+    identity_rhs,
+    s_functional,
+    theorem1_bound,
+    theorem2_bound,
+)
 from phi_ineq.convexity import PhiKernel, check_phi_convex
 from phi_ineq.errors import DomainError, PhiIneqError
 from phi_ineq.fracint import Interval
@@ -234,24 +240,22 @@ class TestSweep:
 
 def _reference_point(fn, params, kernel, theorem, *, tol=1e-9, quad_tol=1e-12, rhs_scale=1.0):
     """The per-point assembly, kept here as the reference for the staged
-    grid: the gate, S and the bound called directly, the re-run at 10x
-    tighter tolerance, and ERROR on a numerical failure."""
+    grid: the gate, S and the bound called directly, a FAIL candidate's
+    lhs taken again from Lemma 1's form at the same tolerance, and ERROR
+    on a numerical failure."""
     base = dict(function=fn.name, kernel=kernel.label, theorem=theorem,
                 a=params.a, b=params.b, x=params.x, lam=params.lam, alpha=params.alpha,
                 q=params.q, p=None, s=kernel.s if kernel.kind == "power" else None)
     bound = theorem1_bound if theorem == "T1" else theorem2_bound
 
-    def evaluate(qt):
-        lhs = float(abs(s_functional(fn, params, quad_tol=qt)))
-        return lhs, float(bound(fn, params, kernel, quad_tol=qt) * rhs_scale)
-
     try:
         holds = check_phi_convex(lambda u: abs(fn.f2(u)) ** params.q, kernel, fn.domain).holds
         if theorem == "T2":
             base["p"] = params.q / (params.q - 1.0)
-        lhs, rhs = evaluate(quad_tol)
+        lhs = float(abs(s_functional(fn, params, quad_tol=quad_tol)))
+        rhs = float(bound(fn, params, kernel, quad_tol=quad_tol) * rhs_scale)
         if holds and rhs - lhs < -tol:
-            lhs, rhs = evaluate(quad_tol / 10.0)
+            lhs = float(abs(identity_rhs(fn, params, quad_tol=quad_tol)))
     except (PhiIneqError, OverflowError, ZeroDivisionError) as exc:
         return BoundReport(**base, lhs=None, rhs=None, margin=None, hypothesis_ok=False,
                            status="ERROR", message=str(exc))
@@ -295,7 +299,7 @@ KERNELS = (CONST, PhiKernel.power(0.5), PhiKernel.mt())
 @pytest.mark.parametrize("rhs_scale", [1.0, 0.5])
 def test_sweep_matches_point_by_point_reference(rhs_scale):
     # PASS everywhere convex, HYPOTHESIS_UNMET for sqrt_control at q = 1,
-    # FAIL (after the tight re-run) at half the bound, ERROR at alpha = 200
+    # FAIL (confirmed by Lemma 1's form) at half the bound, ERROR at alpha = 200
     # (Gamma overflows) and alpha = 1e-9 (the RL weight underflows); x = 0.5
     # is repeated, and lambda = -0.0 sorts level with 0.0 but prints
     # differently, so reports are compared by repr
@@ -325,7 +329,7 @@ def _point_grid():
 @pytest.mark.parametrize("quad_tol", [1e-12, 1e-30])
 @pytest.mark.parametrize("theorem, q", [("T1", 1.0), ("T1", 2.0), ("T2", 2.0)])
 def test_verify_point_matches_reference(theorem, q, quad_tol):
-    # rhs_scale = 0.5 forces the tight re-run; 1e-30 lies below the
+    # rhs_scale = 0.5 forces the Lemma 1 confirmation; 1e-30 lies below the
     # quadrature's rounding floor, so there every point is an ERROR whose
     # message is the first failure in the reference's order
     statuses = set()
@@ -381,6 +385,37 @@ def test_error_names_first_failure_in_bound_order(monkeypatch, theorem, failing,
     got = verify_point(fn, p, CONST, theorem)
     assert got.status == "ERROR" and got.message == f"{first} failed"
     assert repr(got) == repr(_reference_point(fn, p, CONST, theorem))
+
+
+@pytest.mark.parametrize("c", [0.0, 1e2, 1e3, 1e4, 1e5, 1e6])
+@pytest.mark.parametrize("name, lam", [("t^3", 0.0), ("t^2", 0.0), ("t^2", 1.0)])
+def test_equality_cases_translated_pass(name, lam, c):
+    # the four-term S cancels terms of size c**3 (t^3) or c**2 (t^2) down
+    # to 1/4, 1/6 or 1/12; 3 of these 18 points used to FAIL, one each at
+    # c = 1e4, 1e5 and 1e6
+    fn = resolve_function(name, c, c + 1.0)
+    r = verify_point(fn, EvalParams(fn.domain, x=c + 0.5, lam=lam, alpha=1.0), CONST, "T1")
+    assert r.status == "PASS"
+
+
+def test_far_from_the_origin_fails_are_rare():
+    # t^2, t^3, t^4 on [c, c+w], midpoint x, q = 1, phi = 1: 118 of these
+    # 243 points were FAIL.  Left: 4 FAIL with |S| >= 8e5, where the
+    # absolute tolerance 1e-9 lies below rounding, and 4 ERROR at
+    # lam = 2/(alpha+2), where Lemma 1's integrand cancels.
+    statuses = {}
+    for name in ("t^2", "t^3", "t^4"):
+        for c in (1e4, 1e5, 1e6):
+            for w in (1.0, 1e-2, 1e-4):
+                fn = resolve_function(name, c, c + w)
+                for lam in (0.0, 0.5, 1.0):
+                    for alpha in (0.5, 1.0, 2.0):
+                        p = EvalParams(fn.domain, x=0.5 * (2.0 * c + w), lam=lam, alpha=alpha)
+                        r = verify_point(fn, p, CONST, "T1")
+                        statuses.setdefault(r.status, []).append((lam, alpha, r.lhs))
+    assert len(statuses.get("FAIL", [])) + len(statuses.get("ERROR", [])) <= 8
+    assert all(lhs >= 8e5 for _, _, lhs in statuses.get("FAIL", []))
+    assert all((lam, alpha) == (0.5, 2.0) for lam, alpha, _ in statuses.get("ERROR", []))
 
 
 def test_corollary_preset_consistency():
