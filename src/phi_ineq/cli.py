@@ -66,9 +66,20 @@ def _report_values(r):
 
 
 def reports_to_csv(reports):
+    """The CSV of ``reports``, one f-string per row with the cells
+    :func:`_cell` gives: repr for a float, empty for None, true/false."""
     lines = [",".join(REPORT_COLUMNS)]
+    append = lines.append
     for r in reports:
-        lines.append(",".join(_cell(v) for v in _report_values(r)))
+        x, lam, alpha, q, p, s = r.x, r.lam, r.alpha, r.q, r.p, r.s
+        lhs, rhs, margin = r.lhs, r.rhs, r.margin
+        append(f"{r.function},{r.kernel},{r.theorem},{r.a!r},{r.b!r},"
+               f"{'' if x is None else repr(x)},{'' if lam is None else repr(lam)},"
+               f"{'' if alpha is None else repr(alpha)},{'' if q is None else repr(q)},"
+               f"{'' if p is None else repr(p)},{'' if s is None else repr(s)},"
+               f"{'' if lhs is None else repr(lhs)},{'' if rhs is None else repr(rhs)},"
+               f"{'' if margin is None else repr(margin)},"
+               f"{'true' if r.hypothesis_ok else 'false'},{r.status}")
     return "\n".join(lines) + "\n"
 
 

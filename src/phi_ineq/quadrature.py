@@ -4,7 +4,11 @@ endpoint singularities.
 The engine is a classic globally-adaptive Gauss-Kronrod scheme: each panel
 is integrated with the 15-point Kronrod rule, the embedded 7-point Gauss
 rule supplies the error estimate, and the panel with the largest error is
-bisected until the requested tolerance is met.
+bisected until the requested tolerance is met.  The live panels sit in a
+heap keyed on (-error, age), so each bisection pops the panel with the
+largest error, ties going to the oldest, in O(log n); the value and error
+totals are ``math.fsum`` over the live panels, correctly rounded and so
+independent of the order the panels are kept in.
 
 Two features matter for the integrands in this package:
 
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .errors import DomainError, NonFiniteSample, ToleranceNotMet
 
@@ -115,15 +120,17 @@ def _panels(f, lo, hi, spec):
     panels = [(f, p0, p1) for p0, p1 in zip(bounds, bounds[1:])]
     if left_sing:
         k_lo = 1.0 / (1.0 + spec.left_exponent)
+        e_lo = k_lo - 1.0
 
         def left(u):
-            return f(lo + u ** k_lo) * k_lo * u ** (k_lo - 1.0)
+            return f(lo + u ** k_lo) * k_lo * u ** e_lo
         panels[0] = (left, 0.0, (bounds[1] - lo) ** (1.0 / k_lo))
     if right_sing:
         k_hi = 1.0 / (1.0 + spec.right_exponent)
+        e_hi = k_hi - 1.0
 
         def right(u):
-            return f(hi - u ** k_hi) * k_hi * u ** (k_hi - 1.0)
+            return f(hi - u ** k_hi) * k_hi * u ** e_hi
         panels[-1] = (right, 0.0, (hi - bounds[-2]) ** (1.0 / k_hi))
     return panels
 
@@ -230,27 +237,39 @@ def integrate(f, lo, hi, spec=None):
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise DomainError(f"invalid integration interval [{lo}, {hi}]")
 
-    # panels: list of (err, seq, g, a, b, value, resabs); worst panel by
-    # err, ties by seq.  mass is the running sum of the panels' resabs.
-    panels = []
-    seq = 0
+    # Live panel ``slot`` integrates segs[slot] = (g, a, b) to values[slot]
+    # with error errs[slot] and int|g| estimate masses[slot]; the heap holds
+    # (-err, seq, slot) for each, so it pops the largest error, ties going
+    # to the oldest panel.  mass is the running sum of masses.
+    segs = []
+    values = []
+    errs = []
+    masses = []
+    heap = []
     mass = 0.0
     for g, u_lo, u_hi in _panels(f, lo, hi, spec):
         value, err, resabs = _gk15(g, u_lo, u_hi)
-        panels.append([err, seq, g, u_lo, u_hi, value, resabs])
+        heap.append((-err, len(segs), len(segs)))
+        segs.append((g, u_lo, u_hi))
+        values.append(value)
+        errs.append(err)
+        masses.append(resabs)
         mass += resabs
-        seq += 1
+    heapify(heap)
+    seq = len(segs)
 
+    abs_tol = spec.abs_tol
+    rel_tol = spec.rel_tol
     n_bisect = 0
     while True:
-        total = math.fsum(p[5] for p in panels)
-        total_err = math.fsum(p[0] for p in panels)
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        total = math.fsum(values)
+        total_err = math.fsum(errs)
+        tol = max(abs_tol, rel_tol * abs(total))
         if total_err <= tol:
             return QuadResult(total, total_err, n_bisect)
         if tol < _ROUNDING_FLOOR * mass:
             raise ToleranceNotMet(
-                f"tolerance (abs {spec.abs_tol:.1e}, rel {spec.rel_tol:.1e}) lies below "
+                f"tolerance (abs {abs_tol:.1e}, rel {rel_tol:.1e}) lies below "
                 f"the rounding floor 50*eps*int|f| (error estimate {total_err:.3e}, "
                 f"value {total:.6e})"
             )
@@ -259,15 +278,22 @@ def integrate(f, lo, hi, spec=None):
                 f"needed more than {MAX_SUBDIVISIONS} subdivisions "
                 f"(error estimate {total_err:.3e}, value {total:.6e})"
             )
-        worst = max(panels, key=lambda p: (p[0], -p[1]))
-        panels.remove(worst)
-        _, _, g, a, b, _, resabs = worst
+        slot = heappop(heap)[2]
+        g, a, b = segs[slot]
         mid = 0.5 * (a + b)
         v1, e1, r1 = _gk15(g, a, mid)
         v2, e2, r2 = _gk15(g, mid, b)
-        mass += r1 + r2 - resabs
-        panels.append([e1, seq, g, a, mid, v1, r1])
-        seq += 1
-        panels.append([e2, seq, g, mid, b, v2, r2])
-        seq += 1
+        mass += r1 + r2 - masses[slot]
+        # the left half takes over the bisected panel's slot
+        segs[slot] = (g, a, mid)
+        values[slot] = v1
+        errs[slot] = e1
+        masses[slot] = r1
+        heappush(heap, (-e1, seq, slot))
+        heappush(heap, (-e2, seq + 1, len(segs)))
+        segs.append((g, mid, b))
+        values.append(v2)
+        errs.append(e2)
+        masses.append(r2)
+        seq += 2
         n_bisect += 1

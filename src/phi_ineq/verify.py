@@ -45,9 +45,10 @@ STATUS_HYPOTHESIS = "HYPOTHESIS_UNMET"
 STATUS_ERROR = "ERROR"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoundReport:
-    """One verification record."""
+    """One verification record: a mutable, slotted record, built once per
+    verdict (a frozen dataclass costs several times as much to build)."""
 
     function: str
     kernel: str

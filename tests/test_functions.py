@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from phi_ineq.cli import main
 from phi_ineq.errors import DomainError
 from phi_ineq.fracint import Interval
 from phi_ineq.functions import (
@@ -104,3 +106,38 @@ def test_resolve_function():
     fn = resolve_function("3*t^2", a=0.0, b=1.0)
     assert fn.f(2.0) == pytest.approx(12.0)
     assert fn.f1(1.0) == pytest.approx(6.0)
+
+
+# The registry's parsed entries and the corners of the grammar: a bare
+# constant, the variable, unary minus (once and twice), a high power, a
+# polynomial, and exp and ln together.
+COMPILED_CASES = [name for name in registry() if name != "sqrt_control"] + [
+    "3", "t", "-t^2", "--t", "t^7", "2*t^4 - t", "exp(2*t) - ln(t+1)",
+]
+
+
+def _same(got, want):
+    if type(got) is not type(want) or np.shape(got) != np.shape(want):
+        return False
+    return np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
+@pytest.mark.parametrize("src", COMPILED_CASES)
+def test_compiled_derivatives_match_the_tree(src):
+    # every sample the tree's eval gives, bit for bit and in type; a
+    # constant derivative (of 3, t, -t^2, t^2) keeps a 2-D argument's shape
+    fn = Fn.from_expression(src, Interval(0.5, 2.0))
+    tree = parse_expression(src)
+    trees = (tree, tree.diff(), tree.diff().diff())
+    args = (0.7, 1.3, np.float64(0.9), np.float64(1.7), np.linspace(0.5, 2.0, 7),
+            np.linspace(0.5, 2.0, 12).reshape(3, 4), np.array(1.1))
+    for compiled, node in zip((fn.f, fn.f1, fn.f2), trees):
+        for t in args:
+            assert _same(compiled(t), node.eval(t)), (src, t)
+
+
+def test_non_finite_constant_is_a_usage_error(capsys):
+    # 1e400 parses to inf; a compiler that wrote it into its source as a
+    # literal would raise NameError instead of rejecting the function
+    assert main(["verify", "--fn", "1" + "0" * 400 + "*t^3"]) == 2
+    assert "non-finite value inside the domain" in capsys.readouterr().err

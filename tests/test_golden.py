@@ -4,7 +4,8 @@ verify commands that reach every theorem, kernel and preset, in both
 formats where there are two.  The ledger and one verify command per
 theorem also run at ``--quad-tol 1e-9``, where their bytes differ from
 those at the default 1e-12, so a tolerance lost on its way to an
-integral shows.
+integral shows.  A battery of 105 verify_point calls at seeded
+non-integer alpha covers the continuous parameters the plans skip.
 
 Same-process reruns are checked for byte-identity elsewhere; these digests
 catch drift between versions of the code.  A change that alters any of
@@ -13,11 +14,15 @@ these outputs on purpose records why and updates the digest here.
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from phi_ineq.cli import main, parse_config, reports_to_csv, reports_to_json
-from phi_ineq.verify import sweep
+from phi_ineq.bounds import EvalParams
+from phi_ineq.convexity import PhiKernel
+from phi_ineq.functions import registry
+from phi_ineq.verify import sweep, verify_point
 
 GOLDEN = {
     "sweep": "22ae18ed431d22950be83240675fc13e4b9978f3a9e226cbb5a0df89f1feb181",
@@ -88,3 +93,25 @@ def test_large_sweep_digests(tmp_path):
     for fmt, render in (("csv", reports_to_csv), ("json", reports_to_json)):
         digest = hashlib.sha256(render(reports).encode()).hexdigest()
         assert digest == LARGE_GOLDEN[fmt], f"{fmt} output of the large sweep drifted"
+
+
+# One verify_point per (function, kernel, (q, theorem)) cell at a seeded
+# random (x, lambda, alpha), alpha in [0.3, 3]: points off the integer and
+# half-integer alphas of the plans above.
+CONTINUOUS_CELLS = ((1.0, "T1"), (1.5, "T1"), (1.5, "T2"), (3.0, "T1"), (3.0, "T2"))
+CONTINUOUS_GOLDEN = "d6e2376be742267ec7e0b0eda01b678e9cd34463ebd8fc6d5cbe9d7ba871d131"
+
+
+def test_continuous_parameter_battery_digest():
+    rng = random.Random(20161607)
+    reports = []
+    for fn in registry().values():
+        a, b = fn.domain.a, fn.domain.b
+        for kernel in (PhiKernel.constant(), PhiKernel.power(0.5), PhiKernel.mt()):
+            for q, theorem in CONTINUOUS_CELLS:
+                params = EvalParams(fn.domain, x=rng.uniform(a, b), lam=rng.random(),
+                                    alpha=rng.uniform(0.3, 3.0), q=q)
+                reports.append(verify_point(fn, params, kernel, theorem))
+    assert len(reports) == 105
+    digest = hashlib.sha256(reports_to_csv(reports).encode()).hexdigest()
+    assert digest == CONTINUOUS_GOLDEN, "the continuous-parameter battery drifted"
