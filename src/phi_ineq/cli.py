@@ -73,6 +73,8 @@ def reports_to_csv(reports):
     for r in reports:
         x, lam, alpha, q, p, s = r.x, r.lam, r.alpha, r.q, r.p, r.s
         lhs, rhs, margin = r.lhs, r.rhs, r.margin
+        # the cells of REPORT_COLUMNS, in order, as _cell renders them
+        # (hypothesis_ok is always a bool)
         append(f"{r.function},{r.kernel},{r.theorem},{r.a!r},{r.b!r},"
                f"{'' if x is None else repr(x)},{'' if lam is None else repr(lam)},"
                f"{'' if alpha is None else repr(alpha)},{'' if q is None else repr(q)},"

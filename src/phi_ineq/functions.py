@@ -106,7 +106,7 @@ class _Exp:
         return _mul(self, self.arg.diff())
 
     def emit(self, code):
-        return code.let(f"_exp({self.arg.emit(code)})")
+        return code.let(f"_exp({code.operand(self.arg)})")
 
 
 class _Ln:
@@ -120,7 +120,7 @@ class _Ln:
         return _mul(_Inv(self.arg), self.arg.diff())
 
     def emit(self, code):
-        return code.let(f"_log({self.arg.emit(code)})")
+        return code.let(f"_log({code.operand(self.arg)})")
 
 
 class _Inv:
@@ -161,16 +161,23 @@ class _Code:
         self.lines.append(f"    {name} = {expr}")
         return name
 
+    def operand(self, node):
+        """The value of ``node`` as the root of the tree or as the argument
+        of exp or ln.  There a constant gets ``_Const.eval``'s broadcast
+        over an array t, so ``exp(1)``, and everything computed from it, is
+        an array wherever the tree's is.  Elsewhere a constant meets a value
+        that has the array's shape already (``_add``, ``_mul`` and ``_pow``
+        fold every operation on constants alone), and stays a name."""
+        value = node.emit(self)
+        if isinstance(node, _Const):
+            value = self.let(f"{value} if _isscalar(t) else _full(_shape(t), {value})")
+        return value
+
 
 def _compile(node):
-    """One Python function of t that evaluates the tree ``node``.  A tree
-    that is a constant keeps ``_Const.eval``'s broadcast over an array t."""
+    """One Python function of t that evaluates the tree ``node``."""
     code = _Code()
-    if isinstance(node, _Const):
-        c = code.bind(node.v)
-        result = f"{c} if _isscalar(t) else _full(_shape(t), {c})"
-    else:
-        result = node.emit(code)
+    result = code.operand(node)
     exec("\n".join(["def compiled(t):", *code.lines, f"    return {result}"]), code.env)
     return code.env["compiled"]
 

@@ -113,6 +113,7 @@ def test_resolve_function():
 # polynomial, and exp and ln together.
 COMPILED_CASES = [name for name in registry() if name != "sqrt_control"] + [
     "3", "t", "-t^2", "--t", "t^7", "2*t^4 - t", "exp(2*t) - ln(t+1)",
+    "exp(1)*t^2", "ln(2)", "exp(0*t) + t", "exp(1)^2*t^3", "ln(exp(1))*t",
 ]
 
 
@@ -125,7 +126,8 @@ def _same(got, want):
 @pytest.mark.parametrize("src", COMPILED_CASES)
 def test_compiled_derivatives_match_the_tree(src):
     # every sample the tree's eval gives, bit for bit and in type; a
-    # constant derivative (of 3, t, -t^2, t^2) keeps a 2-D argument's shape
+    # constant derivative (of 3, t, -t^2, t^2) keeps a 2-D argument's shape,
+    # and so does a value that never reads t (exp(1), ln(2), exp(0*t))
     fn = Fn.from_expression(src, Interval(0.5, 2.0))
     tree = parse_expression(src)
     trees = (tree, tree.diff(), tree.diff().diff())
@@ -134,6 +136,21 @@ def test_compiled_derivatives_match_the_tree(src):
     for compiled, node in zip((fn.f, fn.f1, fn.f2), trees):
         for t in args:
             assert _same(compiled(t), node.eval(t)), (src, t)
+
+
+@pytest.mark.parametrize("argv, row", [
+    (["--fn", "exp(1)*t^2"], "exp(1)*t^2,constant,T1,"),
+    (["--fn", "exp(1)*t^2", "--kernel", "power", "--s", "0.5", "--theorem", "t2",
+      "--q", "2"], "exp(1)*t^2,power(0.5),T2,"),
+    (["--theorem", "hh", "--fn", "exp(1)"], "exp(1),,HH,"),
+    (["--theorem", "hh", "--fn", "ln(2)"], "ln(2),,HH,"),
+])
+def test_constant_second_derivative_through_the_gate(argv, row, capsys):
+    # f'' of exp(1)*t^2 is exp(1)*2, which never reads t: the convexity
+    # gate samples it on arrays and needs an array back
+    assert main(["verify", *argv]) == 0
+    out = capsys.readouterr().out
+    assert row in out and out.rstrip().endswith(",true,PASS")
 
 
 def test_non_finite_constant_is_a_usage_error(capsys):
