@@ -6,8 +6,9 @@ A function g is phi-convex when
 
 for all x, y in the interval and t in (0, 1).  The built-in kernels are
 phi = 1 (classical convexity), phi = t**(s-1) with s in (0, 1]
-(s-convexity in the second sense) and phi = 1/(2*sqrt(t)*sqrt(1-t))
-(the MT class, which additionally requires g >= 0).
+(s-convexity in the second sense, defined for g >= 0, so the checker
+warns when g takes negative values) and phi = 1/(2*sqrt(t)*sqrt(1-t))
+(the MT class, which requires g >= 0: the checker raises otherwise).
 
 The checker is empirical: it scans a dense grid of (x, y, t) triples and
 reports the worst violation with a witness.  It never proves convexity;
@@ -88,7 +89,7 @@ def phi_function(kernel):
 def check_phi_convex(g, kernel, interval):
     """Scan the phi-convexity inequality for g over ``interval``, an
     :class:`~phi_ineq.fracint.Interval`.  g is vectorized: it maps a float
-    array to an array of the same shape.
+    array to anything that broadcasts to the array's shape, a scalar too.
 
     x and y run over a uniform ``GRID_N``-point grid on [a, b]; t runs
     over ``GRID_N - 1`` half-step points (j + 1/2)/(GRID_N - 1), which
@@ -103,26 +104,19 @@ def check_phi_convex(g, kernel, interval):
     xs = np.linspace(a, b, GRID_N)
     m = GRID_N - 1
     ts = (np.arange(m) + 0.5) / m
-    gx = np.asarray(g(xs), dtype=float)
+    gx = np.broadcast_to(np.asarray(g(xs), dtype=float), xs.shape)
     if not np.all(np.isfinite(gx)):
         raise DomainError("function not finite on the sample grid")
-    if kernel.kind == KIND_MT:
-        if gx.min() < 0.0:
-            raise DomainError(
-                "MT kernel requires a nonnegative function; "
-                f"sampled minimum {gx.min():g}"
-            )
-    elif gx.min() < 0.0:
-        warnings.warn(
-            "function takes negative values; phi-convexity is formally "
-            "defined for nonnegative functions",
-            stacklevel=2,
-        )
+    if kernel.kind == KIND_MT and gx.min() < 0.0:
+        raise DomainError(f"MT kernel requires a nonnegative function; sampled minimum {gx.min():g}")
+    if kernel.kind == KIND_POWER and gx.min() < 0.0:
+        warnings.warn("function takes negative values; s-convexity is defined for "
+                      "nonnegative functions", stacklevel=2)
     phi = phi_function(kernel)
     tphi = np.array([t * phi(t) for t in ts.tolist()])
     # mixture points P[i, j, k] = t_k*x_i + (1-t_k)*y_j
     P = ts[None, None, :] * xs[:, None, None] + (1.0 - ts[None, None, :]) * xs[None, :, None]
-    gp = np.asarray(g(P), dtype=float)
+    gp = np.asarray(g(P), dtype=float)  # rhs has P's shape, so gp - rhs broadcasts gp
     rhs = tphi[None, None, :] * gx[:, None, None] + tphi[::-1][None, None, :] * gx[None, :, None]
     viol = gp - rhs
     flat_idx = int(np.argmax(viol))  # first occurrence = lexicographically smallest (x, y, t)

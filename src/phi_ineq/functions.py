@@ -10,7 +10,9 @@ Each of f, f' and f'' is compiled once, when the function is built, into
 one Python function of t that performs the tree's operations in the
 tree's order (numpy's exp and log included), so a sample costs no walk of
 the tree and gives the bits the tree's ``eval`` gives.  ``eval`` stays as
-the reference the tests compare the compiled functions against.
+the reference the tests compare the compiled functions against.  A
+constant stays a float for an array t (so does f'' of ``exp(1)*t^2``);
+the convexity gate broadcasts it onto its grid.
 
 Grammar examples: ``t^2``, ``2*t^3 - t``, ``exp(t)``, ``-ln(t)``.
 """
@@ -31,7 +33,7 @@ class _Const:
         self.v = float(v)
 
     def eval(self, t):
-        return self.v if np.isscalar(t) else np.full(np.shape(t), self.v)
+        return self.v
 
     def diff(self):
         return _Const(0.0)
@@ -106,7 +108,7 @@ class _Exp:
         return _mul(self, self.arg.diff())
 
     def emit(self, code):
-        return code.let(f"_exp({code.operand(self.arg)})")
+        return code.let(f"_exp({self.arg.emit(code)})")
 
 
 class _Ln:
@@ -120,7 +122,7 @@ class _Ln:
         return _mul(_Inv(self.arg), self.arg.diff())
 
     def emit(self, code):
-        return code.let(f"_log({code.operand(self.arg)})")
+        return code.let(f"_log({self.arg.emit(code)})")
 
 
 class _Inv:
@@ -147,8 +149,7 @@ class _Code:
     repr (``inf``, ``nan``) would not read back."""
 
     def __init__(self):
-        self.env = {"_exp": np.exp, "_log": np.log,
-                    "_isscalar": np.isscalar, "_full": np.full, "_shape": np.shape}
+        self.env = {"_exp": np.exp, "_log": np.log}
         self.lines = []
 
     def bind(self, value):
@@ -161,23 +162,11 @@ class _Code:
         self.lines.append(f"    {name} = {expr}")
         return name
 
-    def operand(self, node):
-        """The value of ``node`` as the root of the tree or as the argument
-        of exp or ln.  There a constant gets ``_Const.eval``'s broadcast
-        over an array t, so ``exp(1)``, and everything computed from it, is
-        an array wherever the tree's is.  Elsewhere a constant meets a value
-        that has the array's shape already (``_add``, ``_mul`` and ``_pow``
-        fold every operation on constants alone), and stays a name."""
-        value = node.emit(self)
-        if isinstance(node, _Const):
-            value = self.let(f"{value} if _isscalar(t) else _full(_shape(t), {value})")
-        return value
-
 
 def _compile(node):
     """One Python function of t that evaluates the tree ``node``."""
     code = _Code()
-    result = code.operand(node)
+    result = node.emit(code)
     exec("\n".join(["def compiled(t):", *code.lines, f"    return {result}"]), code.env)
     return code.env["compiled"]
 
@@ -350,12 +339,17 @@ class TestFunction:
     @classmethod
     def from_expression(cls, source, domain):
         """The function of an expression string on an Interval, named by
-        its source."""
-        ast = parse_expression(source)
-        d1 = ast.diff()
-        d2 = d1.diff()
-        return cls(name=source, f=_compile(ast), f1=_compile(d1), f2=_compile(d2),
-                   domain=domain)
+        its source.  One nested deeper than the recursive parser, ``diff``
+        and compiler can go is a DomainError."""
+        try:
+            ast = parse_expression(source)
+            d1 = ast.diff()
+            d2 = d1.diff()
+            f, f1, f2 = _compile(ast), _compile(d1), _compile(d2)
+        except RecursionError:
+            short = source if len(source) <= 40 else source[:37] + "..."
+            raise DomainError(f"function expression {short!r} is nested too deeply") from None
+        return cls(name=source, f=f, f1=f1, f2=f2, domain=domain)
 
 
 def _sqrt_control():

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 
-from .bounds import EvalParams, coef_a1, identity_rhs, s_functional
+from .bounds import EvalParams, coef_a1
 from .coefquad import coef_integral
 from .convexity import PhiKernel
 from .fracint import rl_left, rl_right
@@ -23,6 +23,7 @@ from .specfun import gamma, gauss_2f1, incomplete_beta
 from .verify import (
     default_sweep_plan,
     hermite_hadamard_check,
+    identity_check,
     identity_tolerance,
     sweep,
     sweep_summary,
@@ -39,7 +40,7 @@ COEFF_GRID_LAMS = (0.0, 0.25, 0.5, 0.75, 1.0)
 def lemma_identity_battery():
     """Residuals |S - identity_rhs| over the five smooth registry
     functions at ``BATTERY_TUPLES`` random parameter points each, seeded
-    with ``BATTERY_SEED``."""
+    with ``BATTERY_SEED``, each from an :func:`identity_check` report."""
     rng = random.Random(BATTERY_SEED)
     reg = registry()
     rows = []
@@ -50,12 +51,8 @@ def lemma_identity_battery():
             x = a + (b - a) * rng.uniform(0.02, 0.98)
             lam = rng.uniform(0.0, 1.0)
             alpha = rng.uniform(0.3, 3.0)
-            params = EvalParams(fn.domain, x=x, lam=lam, alpha=alpha)
-            s_val = s_functional(fn, params)
-            rhs = identity_rhs(fn, params)
-            resid = abs(s_val - rhs)
-            allowed = identity_tolerance(s_val)
-            rows.append((name, x, lam, alpha, s_val, rhs, resid, allowed))
+            r = identity_check(fn, EvalParams(fn.domain, x=x, lam=lam, alpha=alpha))
+            rows.append((name, x, lam, alpha, r.lhs, r.rhs, r.margin, identity_tolerance(r.lhs)))
     return rows
 
 

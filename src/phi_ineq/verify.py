@@ -8,7 +8,7 @@ emits, as builtin floats.  A report FAILs only when the hypothesis gate
 bound is still violated beyond tolerance, with |S| taken from Lemma 1's
 form (:func:`identity_rhs`); a point whose hypothesis fails is tagged
 HYPOTHESIS_UNMET.  A numerical failure (PhiIneqError, overflow, division
-by zero) becomes an ERROR report with the failure's message.
+by zero, a nan side) becomes an ERROR report with the failure's message.
 
 Every T1/T2 verdict comes from :func:`verify_grid`: :func:`verify_point`
 is its one-point form and :func:`sweep` calls it once per function.  Two
@@ -84,6 +84,13 @@ def _status(hypothesis_ok, margin, tol):
 _NUMERICAL = (PhiIneqError, OverflowError, ZeroDivisionError)
 
 
+def _raise_if_nan(lhs, rhs):
+    """Raise for a nan side, whose nan margin would read as a violation."""
+    for side, value in (("lhs", lhs), ("rhs", rhs)):
+        if value != value:
+            raise PhiIneqError(f"{side} is nan: an intermediate value overflowed or is undefined")
+
+
 def _report(base, check):
     """The report of ``check()``'s verdict fields, or an ERROR report when
     the check fails numerically."""
@@ -140,6 +147,7 @@ def identity_check(fn, params, *, quad_tol=1e-12):
     def check():
         lhs = float(s_functional(fn, params, quad_tol=quad_tol))
         rhs = float(identity_rhs(fn, params, quad_tol=quad_tol))
+        _raise_if_nan(lhs, rhs)
         resid = abs(lhs - rhs)
         ok = resid <= identity_tolerance(lhs)
         return dict(lhs=lhs, rhs=rhs, margin=resid, hypothesis_ok=True,
@@ -353,6 +361,7 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
                                 if holds and rhs - lhs < -tol:
                                     lhs = float(abs(identity_rhs(
                                         fn, params[x, lam, alpha], quad_tol=quad_tol)))
+                                _raise_if_nan(lhs, rhs)
                             except _NUMERICAL as exc:
                                 append(BoundReport(
                                     fn.name, label, theorem, a, b, x, lam, alpha, q,

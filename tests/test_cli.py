@@ -173,17 +173,30 @@ class TestExitCodes:
         assert main(["verify", *argv]) == 2
         assert f"usage error: {reason}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fn", [
+        "(" * 400 + "t" + ")" * 400,
+        "exp(" * 300 + "t" + ")" * 300,
+        "*".join(["t"] * 3001),
+    ], ids=["parentheses", "exp", "product"])
+    def test_too_deep_expression_is_two(self, fn, capsys):
+        # the parser, diff and the compiler recurse once per level of the
+        # tree; a RecursionError ended in a traceback and exit 1, the FAIL code
+        assert main(["verify", "--fn", fn]) == 2
+        err = capsys.readouterr().err
+        assert f"usage error: function expression {fn[:37] + '...'!r} is nested too deeply" in err
+
     @pytest.mark.parametrize("fn", ["-ln(t)", "-t^2"])
     def test_fn_value_may_start_with_minus(self, fn, capsys):
         # argparse used to read a leading minus as a flag and exit 2 with
-        # "argument --fn: expected one argument"
-        with pytest.warns(UserWarning, match="negative values"):
-            assert main(["verify", "--fn", fn, "--theorem", "hh"]) == 0
-        spaced = capsys.readouterr().out
-        assert spaced.splitlines()[1].startswith(f"{fn},")
-        with pytest.warns(UserWarning, match="negative values"):
-            assert main(["verify", f"--fn={fn}", "--theorem", "hh"]) == 0
-        assert capsys.readouterr().out == spaced
+        # "argument --fn: expected one argument"; classical convexity has no
+        # sign condition, so the negative values of either function draw no
+        # warning (the suite turns warnings into errors)
+        assert main(["verify", "--fn", fn, "--theorem", "hh"]) == 0
+        spaced = capsys.readouterr()
+        assert spaced.out.splitlines()[1].startswith(f"{fn},")
+        assert spaced.err == ""
+        assert main(["verify", f"--fn={fn}", "--theorem", "hh"]) == 0
+        assert capsys.readouterr() == spaced
 
     @pytest.mark.parametrize("argv, column, value", [
         (["--a", "-1e-3", "--theorem", "hh"], "a", "-0.001"),
@@ -211,6 +224,20 @@ class TestExitCodes:
         (report,) = json.loads(capsys.readouterr().out)["reports"]
         assert report["status"] == "ERROR"
         assert report["message"].endswith("exceeds the double-precision range")
+
+    @pytest.mark.parametrize("argv", [
+        ["--b", "1e-308"],
+        ["--b", "1e-310"],
+        ["--b", "1e-308", "--theorem", "t2", "--q", "2"],
+        ["--b", "1e-308", "--theorem", "lemma1"],
+    ])
+    def test_nan_side_is_three(self, argv, capsys):
+        # Gamma(alpha+2)/(b-a) overflows to inf and multiplies an underflowed
+        # J1+J2 of 0: the nan lhs gave a nan margin, reported as FAIL
+        assert main(["verify", "--fn", "t^2", "--a", "0", *argv, "--format", "json"]) == 3
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert report["status"] == "ERROR"
+        assert report["message"].startswith("lhs is nan")
 
     @pytest.mark.parametrize("argv, code", [
         (["--fn", "exp(t)", "--a", "0", "--b", "709"], 0),

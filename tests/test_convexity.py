@@ -47,8 +47,7 @@ def test_convex_function_passes():
 
 
 def test_concave_function_fails_with_witness():
-    with pytest.warns(UserWarning, match="negative values"):
-        w = check_phi_convex(lambda t: -t * t, CONST, UNIT)
+    w = check_phi_convex(lambda t: -t * t, CONST, UNIT)
     assert not w.holds
     assert w.worst_violation > 0.0
     x, y, t = w.witness_point
@@ -78,16 +77,20 @@ def test_mt_requires_nonnegative_function():
 
 
 def test_negative_function_warns_for_other_kernels():
+    # s-convexity in the second sense is defined for nonnegative functions;
+    # classical convexity has no sign condition, so the constant kernel
+    # stays silent (the suite turns warnings into errors)
     with pytest.warns(UserWarning, match="negative values"):
-        w = check_phi_convex(lambda t: t - 0.5, CONST, UNIT)
+        w = check_phi_convex(lambda t: t - 0.5, PhiKernel.power(0.5), UNIT)
+    assert not w.holds
+    w = check_phi_convex(lambda t: t - 0.5, CONST, UNIT)
     assert w.holds  # linear functions are convex
 
 
 def test_power_one_coincides_with_constant():
     for g in (lambda t: t * t, lambda t: -t * t, lambda t: np.exp(t)):
-        # only -t*t takes negative values, and both kernels say so
-        with _warns_if(g(0.5) < 0.0):
-            w1 = check_phi_convex(g, CONST, UNIT)
+        # only -t*t takes negative values, and only the power kernel says so
+        w1 = check_phi_convex(g, CONST, UNIT)
         with _warns_if(g(0.5) < 0.0):
             w2 = check_phi_convex(g, PhiKernel.power(1.0), UNIT)
         assert w1.holds == w2.holds
@@ -116,9 +119,14 @@ def test_reflection_symmetry_of_verdict():
 
 def test_witness_determinism():
     g = lambda t: -np.cosh(t)
-    with pytest.warns(UserWarning, match="negative values"):
-        w1 = check_phi_convex(g, CONST, UNIT)
-    with pytest.warns(UserWarning, match="negative values"):
-        w2 = check_phi_convex(g, CONST, UNIT)
+    w1 = check_phi_convex(g, CONST, UNIT)
+    w2 = check_phi_convex(g, CONST, UNIT)
     assert w1 == w2
 
+
+@pytest.mark.parametrize("kernel", [CONST, PhiKernel.power(0.5), MT])
+def test_scalar_return_broadcasts_onto_the_grid(kernel):
+    # g may return anything that broadcasts to its argument's shape: a
+    # constant expression compiles to a function returning a float
+    assert (check_phi_convex(lambda u: 2.0, kernel, UNIT)
+            == check_phi_convex(lambda u: np.full(np.shape(u), 2.0), kernel, UNIT))

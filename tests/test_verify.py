@@ -2,7 +2,6 @@
 and warm-up checks, sweeps and fault injection."""
 
 import math
-from contextlib import nullcontext
 
 import pytest
 
@@ -96,10 +95,8 @@ class TestVerifyPoint:
             assert r.status == "PASS"
             for v in (r.lhs, r.rhs, r.margin):
                 assert type(v) is float
-            # -ln(t) is negative on (1, 2]
-            with (pytest.warns(UserWarning, match="negative values") if name == "-ln(t)"
-                  else nullcontext()):
-                r = hermite_hadamard_check(fn)
+            # -ln(t) is negative on (1, 2], which classical convexity allows
+            r = hermite_hadamard_check(fn)
             assert r.status == "PASS"
             for v in (r.lhs, r.rhs, r.margin, *r.oracle_residuals.values()):
                 assert type(v) is float
@@ -162,8 +159,7 @@ class TestHermiteHadamard:
         assert triple == pytest.approx((0.5, 0.5, 0.5), abs=1e-12)
 
     def test_concave_function_gated(self):
-        with pytest.warns(UserWarning, match="negative values"):
-            r = hermite_hadamard_check(resolve_function("-t^2"))
+        r = hermite_hadamard_check(resolve_function("-t^2"))
         assert r.status == "HYPOTHESIS_UNMET"
 
 
@@ -385,6 +381,15 @@ def test_error_names_first_failure_in_bound_order(monkeypatch, theorem, failing,
     got = verify_point(fn, p, CONST, theorem)
     assert got.status == "ERROR" and got.message == f"{first} failed"
     assert repr(got) == repr(_reference_point(fn, p, CONST, theorem))
+
+
+@pytest.mark.parametrize("theorem, name", [("T1", "power_mean_rhs"), ("T2", "holder_rhs")])
+def test_nan_rhs_is_an_error(monkeypatch, theorem, name):
+    # a nan margin fails margin >= -tol, so a nan bound read as FAIL
+    monkeypatch.setattr(verify, name, lambda *args: math.nan)
+    fn = registry()["t^2"]
+    got = verify_point(fn, params(fn, q=2.0), CONST, theorem)
+    assert got.status == "ERROR" and got.message.startswith("rhs is nan")
 
 
 @pytest.mark.parametrize("c", [0.0, 1e2, 1e3, 1e4, 1e5, 1e6])
