@@ -100,11 +100,14 @@ def s_functional(fn, params, *, quad_tol=1e-12, j_sum=None):
 
 def identity_rhs(fn, params, *, quad_tol=1e-12):
     """The second-derivative representation of S: the weighted pair of
-    integrals of t*(lam - t**alpha) * f''(t*x + (1-t)*end) over [0, 1]."""
+    integrals of t*(lam - t**alpha) * f''(t*x + (1-t)*end) over [0, 1].
+    Near t = 0 the integrand is lam*t*f'' - t**(alpha+1)*f'', so that end
+    is declared with exponent alpha + 1."""
     a, b = params.a, params.b
     x, lam, alpha = params.x, params.lam, params.alpha
     w = b - a
-    spec = QuadratureSpec.for_quad_tol(quad_tol, split_points=kink_splits(alpha, lam))
+    spec = QuadratureSpec.for_quad_tol(quad_tol, split_points=kink_splits(alpha, lam),
+                                       left_exponent=alpha + 1.0)
     f2 = fn.f2
     total = 0.0
     for end, weight in ((a, (x - a) ** (alpha + 2.0) / w), (b, (b - x) ** (alpha + 2.0) / w)):

@@ -17,8 +17,32 @@ split at the kink m) and the selftest all call it.  M does not depend on
 :func:`phi_ineq.quadrature.integrate` under the spec of ``quad_tol``
 (:meth:`~phi_ineq.quadrature.QuadratureSpec.for_quad_tol`), with the kink
 of ``|base|`` at ``lam**(1/alpha)`` (:func:`kink`) as a split point and
-the MT kernel's inverse-square-root endpoint declared, so the adaptive
-loop never has to discover either.
+the exponent of the integrand's leading non-integer power declared at
+each end, so the adaptive loop never has to discover either.  The
+engine grades a positive non-integer end, removes a negative one and
+leaves an integer one alone (:mod:`phi_ineq.quadrature`).  The declared
+exponents, where 0 is a smooth end, s the power kernel's exponent and m
+the kink:
+
+    family  kernel    t = lo                          t = hi
+    A1      -         0                               0
+    A2, A3  constant  0                               0
+    A2      power(s)  1 + s (alpha + 1 + s at lam=0)  0
+    A2      MT        3/2 (alpha + 3/2 at lam=0)      -1/2
+    A3      power(s)  alpha + 1                       s (1 + s at lam=1)
+    A3      MT        -1/2                            1/2 (3/2 at lam=1)
+    B       -         p; p + alpha for an integer p;  p at lam=1 or at m
+                      p*(alpha + 1) at lam=0; p at m
+    M       power(s)  s                               0
+    M       MT        1/2                             -1/2
+
+The constant kernel's families, smooth but for ``t**(alpha+1)`` in
+``|base|`` at t = 0, are left undeclared, so their coefficients keep
+their bytes: they set the zero margins of the equality cases, which are
+judged at an absolute tolerance.  A3's MT end at t = 0 keeps the
+weight's -1/2 although ``|base|`` lifts the integrand there to
+``t**(1/2)``: its substitution t = u**2 makes that power smooth, where
+grading would not.
 
 The process-wide cache on :func:`_cached` answers the repeats the
 callers' keys leave (B is the same for every kernel, M for every
@@ -31,7 +55,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .convexity import KIND_MT, phi_function
+from .convexity import KIND_CONSTANT, KIND_MT, phi_function
 from .errors import DomainError
 from .quadrature import QuadratureSpec, integrate
 
@@ -78,19 +102,45 @@ def _validate(family, alpha, lam, kernel, p, lo, hi):
         raise DomainError(f"family integrals live on sub-ranges of [0, 1], got [{lo}, {hi}]")
 
 
+def _end_exponents(family, alpha, lam, kernel, p, lo, hi):
+    """(left, right): the exponents of the integrand's leading non-integer
+    powers at lo and at hi, as tabled in the module docstring."""
+    if family == "B":
+        m = kink(alpha, lam)
+        if lo == 0.0 and lam == 0.0:
+            left = p * (alpha + 1.0)
+        elif lo == 0.0:
+            left = p + alpha if p.is_integer() else p
+        else:
+            left = p if lo == m else 0.0
+        right = p if hi == m or (hi == 1.0 and lam == 1.0) else 0.0
+        return left, right
+    if family == "A1" or kernel.kind == KIND_CONSTANT:
+        return 0.0, 0.0
+    mt = kernel.kind == KIND_MT
+    w = 0.5 if mt else kernel.s  # the weight's power at its vanishing end
+    left = 0.0
+    right = 0.0
+    if family == "A3":
+        if lo == 0.0:
+            left = -0.5 if mt else alpha + 1.0
+        if hi == 1.0:
+            right = w + (1.0 if lam == 1.0 else 0.0)
+        return left, right
+    if lo == 0.0:
+        left = w if family == "M" else w + (1.0 if lam > 0.0 else alpha + 1.0)
+    if hi == 1.0 and mt:
+        right = -0.5
+    return left, right
+
+
 # Kept across calls: one process of the points-scatter benchmark makes
 # 1,029 verify_point calls whose 441 T2 points need only 3 distinct M (one
 # per kernel); 438 of its 2,058 coefficient calls are answered here.
 @lru_cache(maxsize=16384)
 def _cached(family, alpha, lam, kernel, p, lo, hi, quad_tol):
     splits = () if family == "M" else kink_splits(alpha, lam, lo, hi)
-    left_e = 0.0
-    right_e = 0.0
-    if kernel is not None and kernel.kind == KIND_MT:
-        if family == "A3" and lo == 0.0:
-            left_e = -0.5
-        if family in ("A2", "M") and hi == 1.0:
-            right_e = -0.5
+    left_e, right_e = _end_exponents(family, alpha, lam, kernel, p, lo, hi)
     spec = QuadratureSpec.for_quad_tol(
         quad_tol, split_points=splits, left_exponent=left_e, right_exponent=right_e,
     )

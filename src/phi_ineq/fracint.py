@@ -3,11 +3,14 @@
 ``rl_left(f, a, alpha, x)``  = (1/Gamma(alpha)) * integral_a^x (x-t)**(alpha-1) f(t) dt
 ``rl_right(f, b, alpha, x)`` = (1/Gamma(alpha)) * integral_x^b (t-x)**(alpha-1) f(t) dt
 
-For alpha < 1 the kernel has an integrable algebraic singularity at the
-evaluation point; it is declared to the quadrature engine, which removes
-it by substitution.  At alpha = 1 both operators reduce to the plain
-integral.  The order must be positive: the order-zero convention J^0 f = f
-is not supported, and no bound formula needs it.
+The kernel behaves like (distance)**(alpha-1) at the evaluation point,
+and that exponent is declared to the quadrature engine for every order:
+below 1 it is an integrable singularity, which the engine removes by
+substitution; at a non-integer order above 1 it is a non-smooth end,
+which the engine grades; at an integer order the end is smooth and left
+alone, and at alpha = 1 both operators reduce to the plain integral.
+The order must be positive: the order-zero convention J^0 f = f is not
+supported, and no bound formula needs it.
 
 The interval endpoints may be any finite reals with a < b; nonnegativity
 of ``a`` is not required by any formula in this package.
@@ -42,12 +45,14 @@ def _kernel_weighted(integrand, length, alpha, quad_tol):
     tau**(alpha-1) * f at distance tau from the evaluation point.
 
     Both operators are computed in the shifted variable tau = distance
-    from the evaluation point, putting the kernel singularity at tau = 0.
-    With the anchor at zero the power substitution tau = u**kappa is
-    exact in floating point (no cancellation recovering the distance),
-    which keeps strongly singular orders (alpha well below 1) accurate.
+    from the evaluation point, putting the kernel's non-smooth end at
+    tau = 0, where it is declared as ``tau**(alpha-1)``: the engine
+    substitutes tau = u**kappa there unless alpha is an integer.  With
+    the anchor at zero the substitution is exact in floating point (no
+    cancellation recovering the distance), which keeps strongly singular
+    orders (alpha well below 1) accurate.
     """
-    spec = QuadratureSpec.for_quad_tol(quad_tol, left_exponent=alpha - 1.0 if alpha < 1.0 else 0.0)
+    spec = QuadratureSpec.for_quad_tol(quad_tol, left_exponent=alpha - 1.0)
     return integrate(integrand, 0.0, length, spec).value / gamma(alpha)
 
 

@@ -1,5 +1,5 @@
-"""Adaptive one-dimensional quadrature with kink splitting and algebraic
-endpoint singularities.
+"""Adaptive one-dimensional quadrature with kink splitting and graded
+substitutions at non-smooth ends.
 
 The engine is a classic globally-adaptive Gauss-Kronrod scheme: each panel
 is integrated with the 15-point Kronrod rule, the embedded 7-point Gauss
@@ -17,11 +17,25 @@ Two features matter for the integrands in this package:
   ``lam**(1/alpha)``), so the adaptive loop never has to discover
   non-smoothness on its own.
 
-* declared algebraic endpoint behaviour ``(t - lo)**left_exponent`` (and
-  symmetrically on the right) with exponent in (-1, 0) is removed by the
-  power substitution ``t = lo + u**kappa`` with ``kappa = 1/(1+exponent)``,
-  which makes the transformed integrand bounded. Exponents >= 0 are
-  regular and need no transform.
+* declared endpoint behaviour ``(t - lo)**left_exponent`` (and
+  symmetrically on the right).  The exponent is that of the integrand's
+  leading non-integer power at the end; an integer exponent (0 included)
+  is smooth there and the end is left alone.  Every other end is
+  substituted, ``t = lo + u**kappa``, with the Jacobian
+  ``kappa * u**(kappa - 1)`` multiplied into the integrand, so the
+  tolerances keep their meaning:
+
+  - an exponent in (-1, 0) takes ``kappa = 1/(1+exponent)``, which makes
+    the transformed integrand bounded;
+  - a positive non-integer exponent e takes the graded ``kappa = 3``.
+    The end then behaves like ``u**(3e + 2)``: still not smooth, but
+    about 3e + 2 of its derivatives stay bounded instead of about e, so
+    GK15 stops bisecting towards it.  3 is the measured best: on the points-scatter benchmark
+    workload (seed 7) kappa = 2, 3 and 4 take 34,736, 33,236 and 33,706
+    panels.  Above e ~ 4 a plain end is already cheap and grading costs a
+    few panels more (``t**5.25`` takes 3 panels plain, 7 graded); not
+    grading there would save under 2% of that workload's evaluations,
+    too little for a second rule.
 """
 
 from __future__ import annotations
@@ -72,7 +86,17 @@ MAX_SUBDIVISIONS = 2000
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and integrand structure hints."""
+    """Tolerances and integrand structure hints.
+
+    ``split_points`` are panel boundaries strictly inside the interval.
+    ``left_exponent`` and ``right_exponent`` declare the integrand's
+    leading non-integer power ``(t - lo)**e`` and ``(hi - t)**e`` at each
+    end.  An integer e (the default 0.0) declares a smooth end; e in
+    (-1, 0) is removed by ``t = lo + u**(1/(1+e))``; a positive
+    non-integer e is graded by ``t = lo + u**3`` (see the module
+    docstring).  Exponents at or below -1 are not integrable and are
+    rejected.
+    """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
@@ -83,8 +107,12 @@ class QuadratureSpec:
     def __post_init__(self):
         if not (self.abs_tol > 0.0) or not (self.rel_tol > 0.0):
             raise DomainError("abs_tol and rel_tol must be positive")
-        if self.left_exponent <= -1.0 or self.right_exponent <= -1.0:
-            raise DomainError("endpoint exponents must exceed -1 (integrability)")
+        for name in ("left_exponent", "right_exponent"):
+            e = float(getattr(self, name))
+            if not (math.isfinite(e) and e > -1.0):
+                raise DomainError("endpoint exponents must be finite and exceed -1 "
+                                  "(integrability)")
+            object.__setattr__(self, name, e)
         object.__setattr__(self, "split_points", tuple(float(p) for p in self.split_points))
 
     @classmethod
@@ -103,30 +131,37 @@ class QuadResult:
     subdivisions_used: int
 
 
+def _kappa(exponent):
+    """The substitution power for an end declared ``(t - end)**exponent``:
+    None for an integer (smooth) exponent, 1/(1+exponent) below 0 and the
+    graded 3 above."""
+    if exponent.is_integer():
+        return None
+    return 1.0 / (1.0 + exponent) if exponent < 0.0 else 3.0
+
+
 def _panels(f, lo, hi, spec):
     """The initial panels of [lo, hi] as (g, u_lo, u_hi) triples: [lo, hi]
-    is split at the split points, and the panel at a singular end
+    is split at the split points, and the panel at a transformed end
     integrates g(u) = f(lo + u**kappa) * kappa * u**(kappa - 1) (or its
     mirror at hi) over u in [0, width**(1/kappa)]."""
     splits = sorted(set(spec.split_points))
     for p in splits:
         if not (lo < p < hi):
             raise DomainError(f"split point {p} not strictly inside ({lo}, {hi})")
-    left_sing = spec.left_exponent < 0.0
-    right_sing = spec.right_exponent < 0.0
+    k_lo = _kappa(spec.left_exponent)
+    k_hi = _kappa(spec.right_exponent)
     bounds = [lo] + splits + [hi]
-    if left_sing and right_sing and len(bounds) == 2:
+    if k_lo and k_hi and len(bounds) == 2:
         bounds.insert(1, 0.5 * (lo + hi))
     panels = [(f, p0, p1) for p0, p1 in zip(bounds, bounds[1:])]
-    if left_sing:
-        k_lo = 1.0 / (1.0 + spec.left_exponent)
+    if k_lo:
         e_lo = k_lo - 1.0
 
         def left(u):
             return f(lo + u ** k_lo) * k_lo * u ** e_lo
         panels[0] = (left, 0.0, (bounds[1] - lo) ** (1.0 / k_lo))
-    if right_sing:
-        k_hi = 1.0 / (1.0 + spec.right_exponent)
+    if k_hi:
         e_hi = k_hi - 1.0
 
         def right(u):

@@ -61,11 +61,9 @@ ORACLE_CASES = (
 )
 
 
-@pytest.mark.parametrize("alpha, lam", ((0.6, 0.3), (2.5, 0.7)))
-@pytest.mark.parametrize("family, kernel, p", ORACLE_CASES)
-def test_against_mpmath_at_an_interior_lambda(family, kernel, p, alpha, lam):
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp
+def _mpmath_value(family, kernel, p, alpha, lam):
+    """The coefficient integral at 30 digits, split at the kink."""
+    mp = pytest.importorskip("mpmath").mp
     a, l, pe = mp.mpf(alpha), mp.mpf(lam), mp.mpf(p)
     if kernel is None or kernel.kind == "constant":
         phi = lambda t: mp.mpf(1)
@@ -82,9 +80,33 @@ def test_against_mpmath_at_an_interior_lambda(family, kernel, p, alpha, lam):
         "M": lambda t: t * phi(t),
     }[family]
     with mp.workdps(30):
-        want = float(mp.quad(integrand, [0, l ** (1 / a), 1]))
+        return float(mp.quad(integrand, [0, l ** (1 / a), 1]))
+
+
+@pytest.mark.parametrize("alpha, lam", ((0.6, 0.3), (2.5, 0.7)))
+@pytest.mark.parametrize("family, kernel, p", ORACLE_CASES)
+def test_against_mpmath_at_an_interior_lambda(family, kernel, p, alpha, lam):
+    want = _mpmath_value(family, kernel, p, alpha, lam)
     got = coef_integral(family, alpha, lam, kernel, p=p)
     assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
+
+
+GRADED_CASES = (
+    [(family, kernel, 1.0) for family in ("A2", "A3")
+     for kernel in (PhiKernel.power(0.3), PhiKernel.power(0.5), MT)]
+    + [("B", None, p) for p in (1.5, 3.0)]
+)
+
+
+@pytest.mark.parametrize("alpha", (0.25, 0.5, 1.5, 2.5))
+@pytest.mark.parametrize("family, kernel, p", GRADED_CASES)
+def test_graded_ends_against_mpmath(family, kernel, p, alpha):
+    # the families whose ends are declared non-smooth, at lam = 0 and 1,
+    # where the declared exponents change, and at two interior lam
+    for lam in (0.0, 0.3, 0.7, 1.0):
+        want = _mpmath_value(family, kernel, p, alpha, lam)
+        got = coef_integral(family, alpha, lam, kernel, p=p)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), lam
 
 
 def test_unknown_family_rejected():

@@ -44,6 +44,23 @@ def test_power_law():
                 assert got == pytest.approx(want, rel=1e-8)
 
 
+@pytest.mark.parametrize("a, b", ((0.0, 1.0), (2.0, 3.0), (0.0, 1e-3), (0.0, 100.0)))
+@pytest.mark.parametrize("alpha", (1.0001, 1.05, 1.5, 2.5, 3.7, 7.5, 20.5))
+def test_graded_orders_against_the_power_law(a, b, alpha):
+    # at a non-integer order above 1 the kernel's end is graded; over the
+    # whole interval both operators of the power of the distance from the
+    # far end are Gamma(n+1)/Gamma(n+1+alpha) * L**(n+alpha)
+    length = b - a
+    for n in (0, 2, 3):
+        want = math.gamma(n + 1.0) / math.gamma(n + 1.0 + alpha) * length ** (n + alpha)
+        if abs(want) <= 1e-6:
+            continue
+        left = rl_left(lambda t: (t - a) ** n, a, alpha, b)
+        right = rl_right(lambda t: (b - t) ** n, b, alpha, a)
+        assert left == pytest.approx(want, rel=1e-11, abs=0.0)
+        assert right == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
 def test_mirror_symmetry():
     # right integral of f on [a, b] at x equals the left integral of the
     # reflected function at the reflected point

@@ -25,33 +25,33 @@ from phi_ineq.functions import registry
 from phi_ineq.verify import sweep, verify_point
 
 GOLDEN = {
-    "sweep": "22ae18ed431d22950be83240675fc13e4b9978f3a9e226cbb5a0df89f1feb181",
-    "sweep --format json": "a0d096241467a22701e2a1207c93b8aa585f29ec75573c4be85f2150136d3855",
-    "coeffs": "f8fc116d03d1711c9837e2ce78520675653819f2b78dc7cec4c17f557bb8eb80",
-    "coeffs --format json": "81430edf686581d72f2c168796ea5b91530c217f9d4d1caf06d5c6eb93a6f40e",
-    "selftest": "7a3fc15aef3251ce634b91ae16c5a69fc187a3dd88d2cb946ca41972e05ef92c",
+    "sweep": "58322cdb15b9f794fc3ef575b2a90a30bddb55210bc7acb99210fa38f2a73c2b",
+    "sweep --format json": "36678726a2cea134570a48ebbb14f6971164c53440e8cf8ce3cda809cc0226d0",
+    "coeffs": "59dfd7cb5ede2f175b3f2fc4baf5519c9e111627e201e06d16942818888117f8",
+    "coeffs --format json": "2899f86e472c186d9fe22f5028a3ff8473c025ca951b65987d11e048d5227a16",
+    "selftest": "8e5c21d7da41a046c769b6858ba7781372823f3665c5210ab1789bfa242b376a",
     "verify --fn t^3 --preset c2":
         "e890c3d9ee4fdfa8939a44570efcf66ba355e6f6afcd39ccd5e998fd931a768b",
     "verify --fn exp(t) --preset c5 --alpha 2.5 --q 3 --format json":
-        "feccb89fb0ff2fceb3e9555f04434fdd6ea85579e4db756f7f546cd871f2608d",
+        "2fc4822358883eef2f8e6a7feb507c9411d9f152880d2e8ef634ad50d14e80cc",
     "verify --fn exp(t) --theorem hh --format json":
         "98d1908dcb602b277331b91ad89ae4cc772c9a1ad9ed93b3a2923ac53bf4aca6",
     "verify --fn=-ln(t) --theorem lemma1 --x 0.8 --lambda 0.7 --alpha 2.5 --format json":
-        "11a93edaaf0ebb64284719974a69aa21ca52e0f3a97788098387135550b25c81",
+        "6bcf2d4413046050abedd77e1b08e395a1fffcdab4950bbfe9cdb137a4365322",
     "verify --fn t^2 --theorem t2 --q 2 --kernel mt --format json":
-        "00fcc48bbbab1be1d8088afdc0030b7bdd43eeefa3455a344bd0fa5fdac2d3b3",
+        "40bf06ac2a12bc74fdd685eb6a8836023bb8e1d6e22d44a7f13c8bf7436845b8",
     "verify --fn=2*t^4-t --kernel power --s 0.5 --q 1.5 --x 0.3 --lambda 0.4 --alpha 0.7":
-        "2e315c69b237b2e42d2884c0e43b5c3b51c1e2f7f27371942627914569911a00",
+        "70cc001f349687fee178236a20ddae09ef7df6b96e8bddf6384d418623265189",
     "coeffs --quad-tol 1e-9":
-        "abad2eb34da13bdac2091944892537dfd7c8bfddf918ce60f3a07b8f64673b46",
+        "23d0ab661291c8b940ad8a17c70fe97470bc7d475c4aee10edc47e3c6edaf608",
     "verify --fn=2*t^4-t --kernel power --s 0.5 --q 1.5 --x 0.3 --lambda 0.4 --alpha 0.7 "
     "--quad-tol 1e-9":
-        "45519ea73591fb53438bbfa37f3d9cd653578e5ae530d5238dc325daf48baa8c",
+        "0bb41915cc2fff0f9a7677a0f2707f083ec447007fdea75cee7413072c92f2c9",
     "verify --fn t^2 --theorem t2 --q 2 --kernel mt --format json --quad-tol 1e-9":
-        "2e4e9bebecb6fccfc4b4418ebfa6bcfb64b96fae7d63f3add47cdddd93280599",
+        "a38a031c4d7694866d436e954231e4c18ffbc8405b5cac8509d0a650c15e0bd7",
     "verify --fn=-ln(t) --theorem lemma1 --x 0.8 --lambda 0.7 --alpha 2.5 --format json "
     "--quad-tol 1e-9":
-        "8d5b7af55e2797010088fa48b0346fa90602d5b167c56c5f385bb9625fccd68c",
+        "4db908510b5ebd66b95cb3ced5c4dea9a5a3df56f9ad7ca783ebb68f68cb27a4",
     # exp(t)'s hh bytes are the same at 1e-9 and 1e-12; sqrt_control's are not
     "verify --fn sqrt_control --theorem hh --format json --quad-tol 1e-9":
         "113f157d2c6d92565e7520c0d3086b1594e38d25d4274958ac93e58bd4b4d40e",
@@ -77,8 +77,8 @@ LARGE_PLAN = {
     "q": [1.0, 1.5, 3.0],
 }
 LARGE_GOLDEN = {
-    "csv": "efdc3c57a838adb17cc59419c4e2af14fbb7237fcb486fc59a44fc03ca90258a",
-    "json": "b63ce52decf7e4bcb2ef663d7b855186850056fb56e525005045b3de8bf821e9",
+    "csv": "89c8b1641393eed1e37e92d3f87650b57fbd19eb7b70ca8159c3a4417dcd2084",
+    "json": "9a2091cdb433c14c96aa988fb3aa4a3627afef9dcebc3f614f4ca87ce473ee92",
 }
 
 
@@ -99,7 +99,7 @@ def test_large_sweep_digests(tmp_path):
 # random (x, lambda, alpha), alpha in [0.3, 3]: points off the integer and
 # half-integer alphas of the plans above.
 CONTINUOUS_CELLS = ((1.0, "T1"), (1.5, "T1"), (1.5, "T2"), (3.0, "T1"), (3.0, "T2"))
-CONTINUOUS_GOLDEN = "d6e2376be742267ec7e0b0eda01b678e9cd34463ebd8fc6d5cbe9d7ba871d131"
+CONTINUOUS_GOLDEN = "2ba197d1ec0ff15d34eed019a633c015b6ac4e027f4b2da075b8742aa12c9427"
 
 
 def test_continuous_parameter_battery_digest():
