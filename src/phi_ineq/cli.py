@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .functions import resolve_function
 from .report import build_ledger
 from .selftest import run_selftest
 from .verify import (
+    MARGIN_TOL,
     default_sweep_plan,
     hermite_hadamard_check,
     identity_check,
@@ -143,7 +145,7 @@ def _build_parser():
     pv.add_argument("--theorem", choices=("t1", "t2", "hh", "lemma1"), default="t1")
     pv.add_argument("--preset", choices=("c2", "c5"),
                     help="midpoint presets: x=(a+b)/2, lambda in {1/3, 0, 1}, phi=1")
-    pv.add_argument("--tol", type=float, default=1e-9)
+    pv.add_argument("--tol", type=float, default=MARGIN_TOL)
     pv.add_argument("--inject-bound-scale", type=float, default=1.0,
                     help="test hook: multiply computed bounds by this factor")
     _add_common(pv)
@@ -399,6 +401,9 @@ def main(argv=None):
         return EXIT_USAGE
     except PhiIneqError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except Exception:  # exit 1 means a FAIL row, never an unexpected error
+        traceback.print_exc()
         return EXIT_NUMERICAL
 
 

@@ -19,6 +19,8 @@ Grammar examples: ``t^2``, ``2*t^3 - t``, ``exp(t)``, ``-ln(t)``.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -207,6 +209,11 @@ def _pow(base, n):
     return _Pow(base, n)
 
 
+# numbers and exponents are ASCII digits: str.isdigit also accepts '²' and '٣'
+_INTEGER = re.compile(r"0*([0-9]+)")  # no leading zeros in group 1
+_NUMBER = re.compile(r"[0-9]+\.?[0-9]*|\.[0-9]+")
+
+
 class _Parser:
     """Recursive descent over: expr := term (('+'|'-') term)*;
     term := unary ('*' unary)*; unary := ('-'|'+')* power;
@@ -270,12 +277,13 @@ class _Parser:
 
     def integer(self):
         self.peek()  # skip whitespace
-        start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error(f"expected a nonnegative integer exponent at position {start}")
-        return int(self.src[start:self.pos])
+        m = _INTEGER.match(self.src, self.pos)
+        if not m:
+            self.error(f"expected a nonnegative integer exponent at position {self.pos}")
+        if float(m[1]) == math.inf:
+            self.error(f"exponent at position {self.pos} is too large for a float")
+        self.pos = m.end()
+        return int(m[1])
 
     def atom(self):
         ch = self.peek()
@@ -284,15 +292,10 @@ class _Parser:
             e = self.expr()
             self.take(")")
             return e
-        if ch.isdigit() or ch == ".":
-            start = self.pos
-            seen_dot = False
-            while self.pos < len(self.src) and (
-                self.src[self.pos].isdigit() or (self.src[self.pos] == "." and not seen_dot)
-            ):
-                seen_dot = seen_dot or self.src[self.pos] == "."
-                self.pos += 1
-            return _Const(float(self.src[start:self.pos]))
+        m = _NUMBER.match(self.src, self.pos)
+        if m:
+            self.pos = m.end()
+            return _Const(float(m.group()))
         if ch.isalpha():
             start = self.pos
             while self.pos < len(self.src) and self.src[self.pos].isalpha():

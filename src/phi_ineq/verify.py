@@ -3,12 +3,15 @@ identity residual, the classical midpoint/mean/endpoint warm-up check and
 deterministic parameter sweeps.
 
 Every check produces a :class:`BoundReport` carrying only what a verdict
-emits, as builtin floats.  A report FAILs only when the hypothesis gate
-(phi-convexity of |f''|**q, checked empirically on a grid) passed and the
-bound is still violated beyond tolerance, with |S| taken from Lemma 1's
-form (:func:`identity_rhs`); a point whose hypothesis fails is tagged
-HYPOTHESIS_UNMET.  A numerical failure (PhiIneqError, overflow, division
-by zero, a nan side) becomes an ERROR report with the failure's message.
+emits, as builtin floats.  All four checks take their verdict from one
+rule, :func:`_status`: HYPOTHESIS_UNMET when the hypothesis gate failed
+(phi-convexity of |f''|**q, or of f for HH, checked empirically on a
+grid), else PASS iff margin >= -tol.  T1/T2 pass rhs - lhs and ``tol``
+(default MARGIN_TOL), with a FAIL's |S| taken again from Lemma 1's form
+(:func:`identity_rhs`); LEMMA1 passes -|S - identity_rhs| and
+:func:`identity_tolerance`; HH passes min(mean - mid, end - mean) and
+1e-10.  A numerical failure (PhiIneqError, overflow, division by zero, a
+nan side) becomes the ERROR report of :func:`_error_report`.
 
 Every T1/T2 verdict comes from :func:`verify_grid`: :func:`verify_point`
 is its one-point form and :func:`sweep` calls it once per function.  Two
@@ -43,6 +46,8 @@ STATUS_PASS = "PASS"
 STATUS_FAIL = "FAIL"
 STATUS_HYPOTHESIS = "HYPOTHESIS_UNMET"
 STATUS_ERROR = "ERROR"
+
+MARGIN_TOL = 1e-9  # the default tol of the T1/T2 checks
 
 
 @dataclass(slots=True)
@@ -91,17 +96,10 @@ def _raise_if_nan(lhs, rhs):
             raise PhiIneqError(f"{side} is nan: an intermediate value overflowed or is undefined")
 
 
-def _report(base, check):
-    """The report of ``check()``'s verdict fields, or an ERROR report when
-    the check fails numerically."""
-    try:
-        verdict = check()
-    except _NUMERICAL as exc:
-        return BoundReport(
-            **base, lhs=None, rhs=None, margin=None,
-            hypothesis_ok=False, status=STATUS_ERROR, message=str(exc),
-        )
-    return BoundReport(**base, **verdict)
+def _error_report(fields, exc):
+    """The ERROR report of a check that failed with ``exc``; ``fields``
+    holds its leading fields, function to s."""
+    return BoundReport(*fields, None, None, None, False, STATUS_ERROR, message=str(exc))
 
 
 # Kept across calls: one process of the points-scatter benchmark makes
@@ -115,7 +113,8 @@ def _hypothesis_witness(fn, q, kernel):
     return check_phi_convex(g, kernel, fn.domain)
 
 
-def verify_point(fn, params, kernel, theorem, *, tol=1e-9, quad_tol=1e-12, rhs_scale=1.0):
+def verify_point(fn, params, kernel, theorem, *, tol=MARGIN_TOL, quad_tol=1e-12,
+                 rhs_scale=1.0):
     """Check |S| against the T1 (power-mean) or T2 (Holder) bound at one
     parameter point on fn's domain, gating on the phi-convexity
     hypothesis: the one-point :func:`verify_grid`.  p is derived from q,
@@ -138,22 +137,17 @@ def identity_tolerance(s):
 def identity_check(fn, params, *, quad_tol=1e-12):
     """Residual of S against its second-derivative integral form.  PASS
     when the residual is at most :func:`identity_tolerance`."""
-    base = dict(
-        function=fn.name, kernel="", theorem="LEMMA1",
-        a=params.a, b=params.b, x=params.x, lam=params.lam, alpha=params.alpha,
-        q=None, p=None, s=None,
-    )
-
-    def check():
+    fields = (fn.name, "", "LEMMA1", params.a, params.b, params.x, params.lam, params.alpha,
+              None, None, None)
+    try:
         lhs = float(s_functional(fn, params, quad_tol=quad_tol))
         rhs = float(identity_rhs(fn, params, quad_tol=quad_tol))
         _raise_if_nan(lhs, rhs)
-        resid = abs(lhs - rhs)
-        ok = resid <= identity_tolerance(lhs)
-        return dict(lhs=lhs, rhs=rhs, margin=resid, hypothesis_ok=True,
-                    status=STATUS_PASS if ok else STATUS_FAIL)
-
-    return _report(base, check)
+    except _NUMERICAL as exc:
+        return _error_report(fields, exc)
+    resid = abs(lhs - rhs)
+    return BoundReport(*fields, lhs, rhs, resid, True,
+                       _status(True, -resid, identity_tolerance(lhs)))
 
 
 def hermite_hadamard_check(fn, *, quad_tol=1e-12):
@@ -161,25 +155,19 @@ def hermite_hadamard_check(fn, *, quad_tol=1e-12):
     f((a+b)/2) <= mean of f over [a, b] <= (f(a)+f(b))/2 for convex f,
     up to a margin tolerance of 1e-10."""
     a, b = fn.domain.a, fn.domain.b
-    base = dict(
-        function=fn.name, kernel="", theorem="HH",
-        a=a, b=b, x=None, lam=None, alpha=None, q=None, p=None, s=None,
-    )
-
-    def check():
+    fields = (fn.name, "", "HH", a, b, None, None, None, None, None, None)
+    try:
         witness = check_phi_convex(fn.f, PhiKernel.constant(), fn.domain)
         mid = float(fn.f(0.5 * (a + b)))
         res = integrate(fn.f, a, b, QuadratureSpec.for_quad_tol(quad_tol))
         mean = res.value / (b - a)
         end_avg = float(0.5 * (fn.f(a) + fn.f(b)))
         margin = min(mean - mid, end_avg - mean)
-        return dict(
-            lhs=mid, rhs=end_avg, margin=margin, hypothesis_ok=witness.holds,
-            status=_status(witness.holds, margin, 1e-10),
-            oracle_residuals={"midpoint": mid, "integral_mean": mean, "endpoint_avg": end_avg},
-        )
-
-    return _report(base, check)
+    except _NUMERICAL as exc:
+        return _error_report(fields, exc)
+    return BoundReport(*fields, mid, end_avg, margin, witness.holds,
+                       _status(witness.holds, margin, 1e-10),
+                       {"midpoint": mid, "integral_mean": mean, "endpoint_avg": end_avg})
 
 
 @dataclass(frozen=True)
@@ -194,7 +182,7 @@ class SweepPlan:
     lam: tuple[float, ...]
     alpha: tuple[float, ...]
     q: tuple[float, ...]
-    tol: float = 1e-9
+    tol: float = MARGIN_TOL
 
     def __post_init__(self):
         problems = []
@@ -266,7 +254,7 @@ def _raise_failure(*values):
             raise value.with_traceback(None)
 
 
-def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
+def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=MARGIN_TOL,
                 quad_tol=1e-12, rhs_scale=1.0):
     """The T1/T2 report of every point of a product grid for one function,
     in the order of the nested loops kernel, q, x, lambda, alpha, theorem;
@@ -279,9 +267,8 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
     lambda, p).  Each report is assembled with the bound formulas of
     :mod:`phi_ineq.bounds`.
 
-    A point whose gate passes and whose margin is below ``-tol`` takes
-    its lhs from :func:`identity_rhs` at the same ``quad_tol``, keeps its
-    rhs, and gets its verdict from that pair.  A point that fails
+    A FAIL takes its lhs again from :func:`identity_rhs` at the same
+    ``quad_tol`` and gets its verdict from that lhs.  A point that fails
     numerically gets an ERROR report with the first failure in the order
     gate, S (whose table holds J1+J2's failure), coefficients, |f''|^q,
     assembly and that confirmation; p is left empty when the gate itself
@@ -357,22 +344,24 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=1e-9,
                                     bound = holder_rhs(a, b, x, alpha, q, p, coefs, fq)
                                 lhs = float(abs(s))
                                 rhs = float(bound * rhs_scale)
+                                _raise_if_nan(lhs, rhs)
                                 holds = witness.holds
-                                if holds and rhs - lhs < -tol:
+                                margin = rhs - lhs
+                                status = _status(holds, margin, tol)
+                                if status == STATUS_FAIL:
                                     lhs = float(abs(identity_rhs(
                                         fn, params[x, lam, alpha], quad_tol=quad_tol)))
-                                _raise_if_nan(lhs, rhs)
+                                    _raise_if_nan(lhs, rhs)
+                                    margin = rhs - lhs
+                                    status = _status(holds, margin, tol)
                             except _NUMERICAL as exc:
-                                append(BoundReport(
-                                    fn.name, label, theorem, a, b, x, lam, alpha, q,
-                                    None if exc is witness else row_p, kernel.s,
-                                    None, None, None, False, STATUS_ERROR, message=str(exc),
-                                ))
+                                append(_error_report(
+                                    (fn.name, label, theorem, a, b, x, lam, alpha, q,
+                                     None if exc is witness else row_p, kernel.s), exc))
                                 continue
-                            margin = rhs - lhs
                             append(BoundReport(
                                 fn.name, label, theorem, a, b, x, lam, alpha, q, row_p,
-                                kernel.s, lhs, rhs, margin, holds, _status(holds, margin, tol),
+                                kernel.s, lhs, rhs, margin, holds, status,
                             ))
     return reports
 

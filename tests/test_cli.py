@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from phi_ineq import cli
 from phi_ineq.cli import (
     LEDGER_COLUMNS,
     REPORT_COLUMNS,
@@ -166,12 +167,26 @@ class TestExitCodes:
         (["--fn", "t^2", "--a", "2"], "interval requires a < b"),
         (["--fn", "bogus("], "cannot parse function expression"),
         (["--fn", "t^2", "--x", "5"], "x must lie in [0.0, 1.0]"),
+        *((["--fn", fn], "cannot parse function expression")
+          for fn in (".", "t+.", "..5", "²", "t^²", "t^1" + "0" * 400)),
     ])
     def test_bad_verify_input_is_two(self, argv, reason, capsys):
         # a bad interval, expression or x is the caller's mistake, not a
-        # numerical error
+        # numerical error; the malformed numbers ended in a ValueError or
+        # OverflowError traceback and exit 1, the FAIL code
         assert main(["verify", *argv]) == 2
         assert f"usage error: {reason}" in capsys.readouterr().err
+
+    def test_unexpected_error_is_three(self, monkeypatch, capsys):
+        # exit 1 is reserved for a FAIL row: any other exception leaves main
+        # with its traceback on stderr and exit 3
+        def execute(config):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli, "execute", execute)
+        assert main(["verify", "--fn", "t^2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and err.endswith("RuntimeError: unexpected\n")
 
     @pytest.mark.parametrize("fn", [
         "(" * 400 + "t" + ")" * 400,

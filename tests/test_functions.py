@@ -51,8 +51,12 @@ def test_symbolic_derivatives():
 
 
 def test_parse_errors():
-    for bad in ("u", "t^", "t^-2", "t^ x", "sin(t)", "t +", "(t", "t^2.5", "2t", ""):
-        with pytest.raises(DomainError):
+    # the last eight: a number needs an ASCII digit (float() read a lone
+    # "."), and an exponent is ASCII digits (str.isdigit accepts "²" and
+    # "٣") that a float can hold
+    for bad in ("u", "t^", "t^-2", "t^ x", "sin(t)", "t +", "(t", "t^2.5", "2t", "",
+                ".", "t+.", "..5", "²", "t^²", "t^1" + "0" * 400, "t^٣", "٣*t"):
+        with pytest.raises(DomainError, match="cannot parse function expression"):
             parse_expression(bad)
 
 

@@ -383,6 +383,17 @@ def test_error_names_first_failure_in_bound_order(monkeypatch, theorem, failing,
     assert repr(got) == repr(_reference_point(fn, p, CONST, theorem))
 
 
+def test_every_check_takes_its_verdict_from_one_rule(monkeypatch):
+    # _status is the only code that compares a margin with a tolerance
+    sentinel = object()
+    monkeypatch.setattr(verify, "_status", lambda hypothesis_ok, margin, tol: sentinel)
+    fn = registry()["t^2"]
+    reports = [verify_point(fn, params(fn, q=2.0), CONST, theorem) for theorem in ("T1", "T2")]
+    reports += [identity_check(fn, params(fn, lam=0.5)), hermite_hadamard_check(fn)]
+    assert [r.theorem for r in reports] == ["T1", "T2", "LEMMA1", "HH"]
+    assert all(r.status is sentinel for r in reports)
+
+
 @pytest.mark.parametrize("theorem, name", [("T1", "power_mean_rhs"), ("T2", "holder_rhs")])
 def test_nan_rhs_is_an_error(monkeypatch, theorem, name):
     # a nan margin fails margin >= -tol, so a nan bound read as FAIL
