@@ -1,9 +1,10 @@
 """Numerical verification of fractional-integral inequalities for
 functions whose second derivatives are phi-convex.
 
-Core surface:
+The package exports the nine names that the README's library examples
+use; everything else is imported from its module:
 
-* :mod:`phi_ineq.specfun` -- Gamma, Beta, incomplete Beta, 2F1
+* :mod:`phi_ineq.specfun` -- Gamma, Beta, incomplete Beta, 2F1 at z = 1
 * :mod:`phi_ineq.quadrature` -- adaptive Gauss-Kronrod with kink splits
   and declared endpoint singularities
 * :mod:`phi_ineq.fracint` -- Riemann-Liouville fractional integrals
@@ -13,32 +14,14 @@ Core surface:
   printed closed forms and the two theorem bounds
 * :mod:`phi_ineq.verify` -- point checks, sweeps, identity battery
 * :mod:`phi_ineq.report` -- printed-form vs oracle discrepancy ledger
+* :mod:`phi_ineq.errors` -- the exception hierarchy
 * :mod:`phi_ineq.cli` -- the ``phi-ineq`` command
 """
 
-from .bounds import (
-    EvalParams,
-    coef_a1,
-    identity_rhs,
-    printed_coefficient,
-    s_functional,
-    theorem1_bound,
-    theorem2_bound,
-)
+from .bounds import EvalParams, printed_coefficient, s_functional, theorem1_bound
 from .coefquad import coef_integral
-from .convexity import ConvexityWitness, PhiKernel, check_phi_convex
-from .errors import (
-    DivergenceError,
-    DomainError,
-    NonFiniteSample,
-    NonIntegrableError,
-    PhiIneqError,
-    ToleranceNotMet,
-    UsageError,
-)
-from .fracint import Interval, rl_left, rl_right
-from .functions import TestFunction, registry, resolve_function
-from .quadrature import QuadratureSpec, QuadResult, integrate
-from .specfun import SpecFunResult, beta_fn, gamma, gauss_2f1, incomplete_beta
+from .convexity import PhiKernel, check_phi_convex
+from .fracint import Interval
+from .functions import registry
 
 __version__ = "0.1.0"

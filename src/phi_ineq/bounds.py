@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .coefquad import coef_integral, kink, kink_splits
 from .errors import DomainError
 from .fracint import Interval, rl_left, rl_right
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QUAD_TOL, QuadratureSpec, integrate
 from .specfun import gamma, gauss_2f1, incomplete_beta
 
 PRINTED_NAMES = ("A2C", "A3C", "A4", "A5", "B_closed", "C1", "C2")
@@ -71,7 +71,7 @@ class EvalParams:
         return self.interval.b
 
 
-def fractional_sum(fn, a, b, x, alpha, *, quad_tol=1e-12):
+def fractional_sum(fn, a, b, x, alpha, *, quad_tol=QUAD_TOL):
     """J1 + J2: the two composite fractional integrals entering S.  They
     depend on (x, alpha) but not on lambda, so a sweep computes the sum
     once per (fn, x, alpha) and hands it to :func:`s_functional`."""
@@ -80,7 +80,7 @@ def fractional_sum(fn, a, b, x, alpha, *, quad_tol=1e-12):
     return j1 + j2
 
 
-def s_functional(fn, params, *, quad_tol=1e-12, j_sum=None):
+def s_functional(fn, params, *, quad_tol=QUAD_TOL, j_sum=None):
     """The four-term functional S(x, lam, alpha; a, b) for fn.  ``j_sum``
     is J1 + J2 from :func:`fractional_sum` at the same (x, alpha) and
     quad_tol; it is computed here when not given."""
@@ -98,7 +98,7 @@ def s_functional(fn, params, *, quad_tol=1e-12, j_sum=None):
     return term1 + term2 + term3 - term4
 
 
-def identity_rhs(fn, params, *, quad_tol=1e-12):
+def identity_rhs(fn, params, *, quad_tol=QUAD_TOL):
     """The second-derivative representation of S: the weighted pair of
     integrals of t*(lam - t**alpha) * f''(t*x + (1-t)*end) over [0, 1].
     Near t = 0 the integrand is lam*t*f'' - t**(alpha+1)*f'', so that end
@@ -134,7 +134,7 @@ def coef_a1(alpha, lam):
     return (alpha * lam_pow + 1.0) / (alpha + 2.0) - 0.5 * lam
 
 
-def theorem1_bound(fn, params, kernel, *, quad_tol=1e-12):
+def theorem1_bound(fn, params, kernel, *, quad_tol=QUAD_TOL):
     """Power-mean bound (T1):
 
     A1**(1-1/q) * [ (x-a)**(a+2)/(b-a) * (A2*|f''(x)|^q + A3*|f''(a)|^q)**(1/q)
@@ -169,7 +169,7 @@ def power_mean_rhs(a, b, x, alpha, q, coefs, powers):
     return prefactor * (term_a + term_b)
 
 
-def theorem2_bound(fn, params, kernel, *, quad_tol=1e-12):
+def theorem2_bound(fn, params, kernel, *, quad_tol=QUAD_TOL):
     """Holder bound (T2), for q > 1 and its conjugate p = q/(q-1):
 
     B**(1/p) * [ (x-a)**(a+2)/(b-a) * ((|f''(x)|^q + |f''(a)|^q) * M)**(1/q)
@@ -254,7 +254,7 @@ def printed_coefficient(name, alpha, lam, *, s=None, p=None):
     prefactor = (lam ** ((1.0 + p + alpha * p) / alpha) if lam > 0.0 else 0.0) / alpha
 
     def c1():
-        hyp = gauss_2f1(1.0, 1.0 + p, 2.0 + p + (1.0 + p) / alpha, 1.0)
+        hyp = gauss_2f1(1.0, 1.0 + p, 2.0 + p + (1.0 + p) / alpha)
         return prefactor * gamma(1.0 + p) * gamma((1.0 + p + alpha) / alpha) * hyp
 
     def c2():

@@ -25,6 +25,7 @@ from .bounds import EvalParams
 from .convexity import PhiKernel
 from .errors import DomainError, PhiIneqError, UsageError
 from .functions import resolve_function
+from .quadrature import QUAD_TOL
 from .report import build_ledger
 from .selftest import run_selftest
 from .verify import (
@@ -120,7 +121,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _add_common(parser):
     parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    parser.add_argument("--quad-tol", type=float, default=1e-12,
+    parser.add_argument("--quad-tol", type=float, default=QUAD_TOL,
                         help="quadrature tolerance: integrals run to an absolute tolerance "
                              "of 0.1x and a relative tolerance of 10x this value")
 
@@ -145,8 +146,9 @@ def _build_parser():
     pv.add_argument("--theorem", choices=("t1", "t2", "hh", "lemma1"), default="t1")
     pv.add_argument("--preset", choices=("c2", "c5"),
                     help="midpoint presets: x=(a+b)/2, lambda in {1/3, 0, 1}, phi=1")
-    pv.add_argument("--tol", type=float, default=MARGIN_TOL)
-    pv.add_argument("--inject-bound-scale", type=float, default=1.0,
+    # None when not given, so that a check that does not read them can reject them
+    pv.add_argument("--tol", type=float)
+    pv.add_argument("--inject-bound-scale", type=float,
                     help="test hook: multiply computed bounds by this factor")
     _add_common(pv)
 
@@ -259,7 +261,7 @@ def parse_config(argv):
     violations = []
     if not 0.0 < ns.quad_tol < math.inf:
         violations.append(f"--quad-tol must be positive and finite, got {ns.quad_tol}")
-    if ns.command in ("verify", "sweep") and not math.isfinite(ns.inject_bound_scale):
+    if not math.isfinite(getattr(ns, "inject_bound_scale", None) or 0.0):  # None: not given
         violations.append(f"--inject-bound-scale must be finite, got {ns.inject_bound_scale}")
 
     if ns.command == "sweep":
@@ -278,6 +280,11 @@ def parse_config(argv):
     if violations:
         raise UsageError(violations)
     return ns
+
+
+# which of --x, --lambda, --tol and --inject-bound-scale a check reads (t1
+# and t2 read all four); giving one that it does not read is a usage error
+_READ_BY = {"hh": (), "lemma1": ("--x", "--lambda"), "preset": ("--tol", "--inject-bound-scale")}
 
 
 def _check_verify(ns, violations):
@@ -312,8 +319,14 @@ def _check_verify(ns, violations):
         violations.append(f"q must be finite and >= 1, got {ns.q}")
     if ns.theorem == "t2" and ns.q <= 1.0 and ns.preset is None:
         violations.append("theorem t2 requires q > 1 (p is derived as q/(q-1))")
-    if not 0.0 < ns.tol < math.inf:
+    if ns.tol is not None and not 0.0 < ns.tol < math.inf:
         violations.append(f"--tol must be positive and finite, got {ns.tol}")
+    given = {"--x": ns.x, "--lambda": ns.lam, "--tol": ns.tol,
+             "--inject-bound-scale": ns.inject_bound_scale}
+    check = f"--preset {ns.preset}" if ns.preset else f"--theorem {ns.theorem}"
+    read = _READ_BY.get("preset" if ns.preset else ns.theorem, tuple(given))
+    violations += [f"{flag} does not apply to {check}" for flag, value in given.items()
+                   if value is not None and flag not in read]
 
 
 def _emit(cfg, text):
@@ -338,7 +351,8 @@ def _reports_exit(reports):
 def _run_verify(cfg):
     fn = cfg.fn
     interval = fn.domain
-    mid = 0.5 * (interval.a + interval.b)
+    # halved before the sum, so a huge interval's midpoint does not overflow
+    mid = 0.5 * interval.a + 0.5 * interval.b
     if cfg.preset is not None:
         # the three lambda share one J1 + J2, one gate and one |f''|^q
         kernel, x, lams = PhiKernel.constant(), mid, (1.0 / 3.0, 0.0, 1.0)
@@ -355,7 +369,8 @@ def _run_verify(cfg):
         kernel, lams, theorem, q = cfg.kernel, (lam,), cfg.theorem.upper(), cfg.q
     return verify_grid(
         fn, (kernel,), (q,), (x,), lams, (cfg.alpha,), (theorem,),
-        tol=cfg.tol, quad_tol=cfg.quad_tol, rhs_scale=cfg.inject_bound_scale,
+        tol=MARGIN_TOL if cfg.tol is None else cfg.tol, quad_tol=cfg.quad_tol,
+        rhs_scale=1.0 if cfg.inject_bound_scale is None else cfg.inject_bound_scale,
     )
 
 

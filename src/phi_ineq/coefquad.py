@@ -57,7 +57,7 @@ from functools import lru_cache
 
 from .convexity import KIND_CONSTANT, KIND_MT, phi_function
 from .errors import DomainError
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QUAD_TOL, QuadratureSpec, integrate
 
 FAMILIES = ("A1", "A2", "A3", "B", "M")
 
@@ -147,7 +147,7 @@ def _cached(family, alpha, lam, kernel, p, lo, hi, quad_tol):
     return integrate(_integrand(family, alpha, lam, kernel, p), lo, hi, spec).value
 
 
-def coef_integral(family, alpha, lam, kernel=None, *, p=1.0, lo=0.0, hi=1.0, quad_tol=1e-12):
+def coef_integral(family, alpha, lam, kernel=None, *, p=1.0, lo=0.0, hi=1.0, quad_tol=QUAD_TOL):
     """Adaptive quadrature value of one coefficient-family integral over
     [lo, hi]; A2, A3 and M need a kernel, B a positive exponent p."""
     alpha = float(alpha)

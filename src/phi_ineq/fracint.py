@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QUAD_TOL, QuadratureSpec, integrate
 from .specfun import gamma
 
 
@@ -56,7 +56,7 @@ def _kernel_weighted(integrand, length, alpha, quad_tol):
     return integrate(integrand, 0.0, length, spec).value / gamma(alpha)
 
 
-def rl_left(f, a, alpha, x, *, quad_tol=1e-12):
+def rl_left(f, a, alpha, x, *, quad_tol=QUAD_TOL):
     """Left fractional integral of order alpha evaluated at x > a."""
     a = float(a)
     x = float(x)
@@ -69,7 +69,7 @@ def rl_left(f, a, alpha, x, *, quad_tol=1e-12):
     return _kernel_weighted(lambda tau: tau ** e * f(x - tau), x - a, alpha, quad_tol)
 
 
-def rl_right(f, b, alpha, x, *, quad_tol=1e-12):
+def rl_right(f, b, alpha, x, *, quad_tol=QUAD_TOL):
     """Right fractional integral of order alpha evaluated at x < b."""
     b = float(b)
     x = float(x)

@@ -399,6 +399,8 @@ def resolve_function(spec, a=None, b=None):
         if a is not None or b is not None:
             dom = Interval(a if a is not None else fn.domain.a,
                            b if b is not None else fn.domain.b)
+            if spec == "sqrt_control" and dom.a < 0.0:  # t**0.5 is complex below 0
+                raise DomainError(f"sqrt_control is defined for t >= 0 only, got a={dom.a}")
             return TestFunction(fn.name, fn.f, fn.f1, fn.f2, dom)
         return fn
     dom = Interval(0.0 if a is None else a, 1.0 if b is None else b)

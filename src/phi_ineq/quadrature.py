@@ -82,6 +82,8 @@ _EPS = 2.220446049250313e-16
 _ROUNDING_FLOOR = 50.0 * _EPS
 # The most bisections one integral may take before ToleranceNotMet.
 MAX_SUBDIVISIONS = 2000
+# The default quad_tol of every function and of --quad-tol (see for_quad_tol).
+QUAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)

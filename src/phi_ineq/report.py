@@ -17,6 +17,7 @@ from .bounds import printed_coefficient
 from .coefquad import coef_integral, kink
 from .convexity import PhiKernel
 from .errors import DomainError
+from .quadrature import QUAD_TOL
 
 AGREE_TOL = 1e-8
 
@@ -53,7 +54,7 @@ def _entry(name, alpha, lam, s, p, oracle):
     return DiscrepancyEntry(name, alpha, lam, s, p, printed, oracle, diff, verdict)
 
 
-def build_ledger(*, quad_tol=1e-12):
+def build_ledger(*, quad_tol=QUAD_TOL):
     """One entry per (coefficient, grid point) of the LEDGER_* grid; sorted
     and deterministic.  The grid covers both lambda boundaries, where
     several printed forms fail sanity checks.  The oracles of C1 and C2 are

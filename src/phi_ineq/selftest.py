@@ -82,7 +82,7 @@ def section_specfun():
     checks = [
         ("gamma(0.5)", gamma(0.5), math.sqrt(math.pi), 1e-12, "rel"),
         ("gamma(5)", gamma(5.0), 24.0, 1e-12, "rel"),
-        ("2F1(1,3,5,1)", gauss_2f1(1.0, 3.0, 5.0, 1.0), 4.0, 1e-10, "abs"),
+        ("2F1(1,3,5,1)", gauss_2f1(1.0, 3.0, 5.0), 4.0, 1e-10, "abs"),
         ("incbeta(0.5,2,-0.5)", incomplete_beta(0.5, 2.0, -0.5), 3.0 * math.sqrt(2.0) - 4.0, 1e-9, "abs"),
     ]
     worst = None

@@ -7,40 +7,15 @@ machine precision over the range used here.  The incomplete Beta with a
 *nonpositive* second parameter -- which the closed-form coefficient
 formulas request -- is defined only for an upper limit strictly below 1
 and is computed by adaptive quadrature; the complete case diverges and
-raises :class:`NonIntegrableError`.
-
-Every function has a ``*_detailed`` twin returning a
-:class:`SpecFunResult` carrying an error estimate and the method tag
-(``continued-expansion`` / ``quadrature-fallback`` /
-``closed-identity``); the plain version returns only the value.
+raises :class:`NonIntegrableError`.  Every function returns a float.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DivergenceError, DomainError, NonIntegrableError, ToleranceNotMet
 from .quadrature import QuadratureSpec, integrate
-
-METHOD_CONTINUED = "continued-expansion"
-METHOD_QUADRATURE = "quadrature-fallback"
-METHOD_CLOSED = "closed-identity"
-
-_METHODS = (METHOD_CLOSED, METHOD_CONTINUED, METHOD_QUADRATURE)
-
-
-@dataclass(frozen=True)
-class SpecFunResult:
-    value: float
-    abs_err_estimate: float
-    method: str
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise DomainError(f"unknown method tag {self.method!r}")
-        if not self.abs_err_estimate >= 0.0:
-            raise DomainError("abs_err_estimate must be nonnegative")
 
 
 # Lanczos g = 7 coefficients.
@@ -147,10 +122,7 @@ def _beta_cf(a, b, x):
 
 
 def _regularized_beta(a, b, x):
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
+    """The regularized incomplete Beta I_x(a, b) for 0 < x < 1."""
     log_bt = (
         log_gamma(a + b) - log_gamma(a) - log_gamma(b)
         + a * math.log(x) + b * math.log1p(-x)
@@ -161,16 +133,14 @@ def _regularized_beta(a, b, x):
     return 1.0 - bt * _beta_cf(b, a, 1.0 - x) / b
 
 
-def incomplete_beta_detailed(upper, x, y):
+def incomplete_beta(upper, x, y):
     """B(upper; x, y) = integral of t**(x-1) (1-t)**(y-1) over [0, upper].
 
     upper must lie in (0, 1] and x must be positive.  y may be any real;
     for y <= 0 the integrand is non-integrable at t = 1, so upper = 1 is
     rejected and upper < 1 falls back to adaptive quadrature.
     """
-    upper = float(upper)
-    x = float(x)
-    y = float(y)
+    upper, x, y = float(upper), float(x), float(y)
     if not 0.0 < upper <= 1.0:
         raise DomainError(f"upper limit must lie in (0, 1], got {upper}")
     if not x > 0.0:
@@ -185,32 +155,20 @@ def incomplete_beta_detailed(upper, x, y):
             rel_tol=1e-11,
             left_exponent=x - 1.0 if x < 1.0 else 0.0,
         )
-        res = integrate(lambda t: t ** (x - 1.0) * (1.0 - t) ** (y - 1.0), 0.0, upper, spec)
-        return SpecFunResult(res.value, res.err_estimate, METHOD_QUADRATURE)
+        return integrate(lambda t: t ** (x - 1.0) * (1.0 - t) ** (y - 1.0),
+                         0.0, upper, spec).value
     if upper == 1.0:
-        value = beta_fn(x, y)
-        return SpecFunResult(value, 4.0 * 2.2e-16 * abs(value), METHOD_CLOSED)
-    reg = _regularized_beta(x, y, upper)
-    value = beta_fn(x, y) * reg
-    return SpecFunResult(value, 1e-14 * max(abs(value), 1e-300), METHOD_CONTINUED)
+        return beta_fn(x, y)
+    return beta_fn(x, y) * _regularized_beta(x, y, upper)
 
 
-def incomplete_beta(upper, x, y):
-    return incomplete_beta_detailed(upper, x, y).value
-
-
-def gauss_2f1_detailed(a, b, c, z):
-    """2F1(a, b; c; z) at z = 1, summed in closed form by Gauss's theorem:
+def gauss_2f1(a, b, c):
+    """2F1(a, b; c; 1), summed in closed form by Gauss's theorem:
     Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)), which requires
     c - a - b > 0.  The printed C1 needs no other z."""
-    a = float(a)
-    b = float(b)
-    c = float(c)
-    z = float(z)
+    a, b, c = float(a), float(b), float(c)
     if not c > 0.0:
         raise DomainError(f"2F1 requires c > 0, got c={c}")
-    if z != 1.0:
-        raise DomainError(f"2F1 supported only at z = 1, got z={z}")
     cab = c - a - b
     if cab <= 0.0:
         raise DivergenceError(
@@ -220,9 +178,9 @@ def gauss_2f1_detailed(a, b, c, z):
         raise DomainError(
             "closed-form summation at z=1 needs c-a > 0 and c-b > 0"
         )
-    value = math.exp(log_gamma(c) + log_gamma(cab) - log_gamma(c - a) - log_gamma(c - b))
-    return SpecFunResult(value, 4.0 * 2.2e-16 * abs(value), METHOD_CLOSED)
+    return math.exp(log_gamma(c) + log_gamma(cab) - log_gamma(c - a) - log_gamma(c - b))
 
 
-def gauss_2f1(a, b, c, z):
-    return gauss_2f1_detailed(a, b, c, z).value
+# perfbench's tracer wraps these two names; ROADMAP item 1 deletes them
+incomplete_beta_detailed = incomplete_beta
+gauss_2f1_detailed = gauss_2f1

@@ -40,7 +40,7 @@ from .coefquad import coef_integral
 from .convexity import PhiKernel, check_phi_convex
 from .errors import DomainError, PhiIneqError
 from .functions import registry
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QUAD_TOL, QuadratureSpec, integrate
 
 STATUS_PASS = "PASS"
 STATUS_FAIL = "FAIL"
@@ -113,7 +113,7 @@ def _hypothesis_witness(fn, q, kernel):
     return check_phi_convex(g, kernel, fn.domain)
 
 
-def verify_point(fn, params, kernel, theorem, *, tol=MARGIN_TOL, quad_tol=1e-12,
+def verify_point(fn, params, kernel, theorem, *, tol=MARGIN_TOL, quad_tol=QUAD_TOL,
                  rhs_scale=1.0):
     """Check |S| against the T1 (power-mean) or T2 (Holder) bound at one
     parameter point on fn's domain, gating on the phi-convexity
@@ -134,7 +134,7 @@ def identity_tolerance(s):
     return 1e-8 * max(1.0, abs(s))
 
 
-def identity_check(fn, params, *, quad_tol=1e-12):
+def identity_check(fn, params, *, quad_tol=QUAD_TOL):
     """Residual of S against its second-derivative integral form.  PASS
     when the residual is at most :func:`identity_tolerance`."""
     fields = (fn.name, "", "LEMMA1", params.a, params.b, params.x, params.lam, params.alpha,
@@ -150,7 +150,7 @@ def identity_check(fn, params, *, quad_tol=1e-12):
                        _status(True, -resid, identity_tolerance(lhs)))
 
 
-def hermite_hadamard_check(fn, *, quad_tol=1e-12):
+def hermite_hadamard_check(fn, *, quad_tol=QUAD_TOL):
     """Classical Hermite-Hadamard warm-up on fn's domain [a, b]:
     f((a+b)/2) <= mean of f over [a, b] <= (f(a)+f(b))/2 for convex f,
     up to a margin tolerance of 1e-10."""
@@ -158,7 +158,7 @@ def hermite_hadamard_check(fn, *, quad_tol=1e-12):
     fields = (fn.name, "", "HH", a, b, None, None, None, None, None, None)
     try:
         witness = check_phi_convex(fn.f, PhiKernel.constant(), fn.domain)
-        mid = float(fn.f(0.5 * (a + b)))
+        mid = float(fn.f(0.5 * a + 0.5 * b))
         res = integrate(fn.f, a, b, QuadratureSpec.for_quad_tol(quad_tol))
         mean = res.value / (b - a)
         end_avg = float(0.5 * (fn.f(a) + fn.f(b)))
@@ -255,7 +255,7 @@ def _raise_failure(*values):
 
 
 def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=MARGIN_TOL,
-                quad_tol=1e-12, rhs_scale=1.0):
+                quad_tol=QUAD_TOL, rhs_scale=1.0):
     """The T1/T2 report of every point of a product grid for one function,
     in the order of the nested loops kernel, q, x, lambda, alpha, theorem;
     T2 points exist only where q > 1.
@@ -366,7 +366,7 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=MARGIN_TOL,
     return reports
 
 
-def sweep(plan, *, quad_tol=1e-12, rhs_scale=1.0):
+def sweep(plan, *, quad_tol=QUAD_TOL, rhs_scale=1.0):
     """Run the full Cartesian product of the plan through one
     :func:`verify_grid` per function; T2 points exist only where q > 1 (p
     is derived as q/(q-1)).  Reports come back sorted by (function,

@@ -106,7 +106,7 @@ def test_c5_default_sweep():
 def test_c6_special_functions():
     assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     assert gamma(5.0) == pytest.approx(24.0, rel=1e-12)
-    assert gauss_2f1(1.0, 3.0, 5.0, 1.0) == pytest.approx(4.0, abs=1e-10)
+    assert gauss_2f1(1.0, 3.0, 5.0) == pytest.approx(4.0, abs=1e-10)
     assert incomplete_beta(0.5, 2.0, -0.5) == pytest.approx(
         3.0 * math.sqrt(2.0) - 4.0, abs=1e-9)
     print("ACCEPTANCE 6 PASS: Gamma goldens (1e-12 rel), 2F1 summation (1e-10), "

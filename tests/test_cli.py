@@ -169,6 +169,9 @@ class TestExitCodes:
         (["--fn", "t^2", "--x", "5"], "x must lie in [0.0, 1.0]"),
         *((["--fn", fn], "cannot parse function expression")
           for fn in (".", "t+.", "..5", "²", "t^²", "t^1" + "0" * 400)),
+        # the quadrature summed complex samples: a TypeError traceback, exit 3
+        (["--fn", "sqrt_control", "--a", "-0.005", "--b", "242", "--theorem", "t2", "--q", "2"],
+         "sqrt_control is defined for t >= 0 only, got a=-0.005"),
     ])
     def test_bad_verify_input_is_two(self, argv, reason, capsys):
         # a bad interval, expression or x is the caller's mistake, not a
@@ -395,11 +398,71 @@ class TestExitCodes:
         assert code == 1
         capsys.readouterr()
 
+    def test_huge_interval_checks_its_midpoint(self, capsys):
+        # the default x was 0.5 * (a + b), which overflows: exit 3 with
+        # "x=inf outside [1e+308, 1.7e+308]" before any check ran
+        assert main(["verify", "--fn", "t", "--a", "1e308", "--b", "1.7e308",
+                     "--format", "json"]) == 3
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert (report["theorem"], report["x"], report["status"]) == ("T1", 1.35e308, "ERROR")
+        assert report["message"].endswith("exceeds the double-precision range")
+
+    @pytest.mark.parametrize("check, flag", [
+        *(("--theorem hh", flag) for flag in ("--x 0.3", "--lambda 0.5", "--tol 1e-3",
+                                              "--inject-bound-scale 0")),
+        *(("--theorem lemma1", flag) for flag in ("--tol 1e-3", "--inject-bound-scale 0")),
+        *(("--preset c2", flag) for flag in ("--x 0.3", "--lambda 0.5")),
+    ])
+    def test_flag_the_check_never_reads_is_two(self, check, flag, capsys):
+        # --theorem hh --inject-bound-scale 0 printed PASS, exit 0: the
+        # test hook never reaches HH
+        assert main(["verify", "--fn", "t^2", *check.split(), *flag.split()]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {flag.split()[0]} does not apply to {check}\n")
+
+    def test_unread_flags_are_listed_with_the_other_violations(self, capsys):
+        assert main(["verify", "--fn", "t^2", "--theorem", "hh", "--x", "0.3",
+                     "--lambda", "0.5", "--tol", "1e-3", "--inject-bound-scale", "0",
+                     "--alpha", "-1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage error: alpha must be positive")
+        assert err[1:] == [f"usage error: {flag} does not apply to --theorem hh" for flag
+                           in ("--x", "--lambda", "--tol", "--inject-bound-scale")]
+
     def test_hypothesis_unmet_not_a_failure(self, capsys):
         code = main(["verify", "--fn", "sqrt_control", "--theorem", "t1"])
         assert code == 0
         out = capsys.readouterr().out
         assert "HYPOTHESIS_UNMET" in out
+
+
+def test_csv_rows_match_the_cell_renderer():
+    # reports_to_csv writes a row with one hand-written f-string; every
+    # row shape must give the cells _cell renders, in REPORT_COLUMNS order
+    commands = (
+        "t^3 --x 0.5 --lambda 0 --alpha 1",               # T1 PASS
+        "t^2 --inject-bound-scale 0.5",                   # T1 FAIL
+        "t^2 --theorem t2 --q 2 --kernel mt",             # T2: p set
+        "t^4 --a -1.5 --b 2 --kernel power --s 0.5",      # power kernel: s set
+        "sqrt_control",                                   # HYPOTHESIS_UNMET
+        "t^4 --a 0 --b 1e77",                             # ERROR: lhs, rhs, margin empty
+        "t^2 --theorem hh",
+        "2*t^4 - t --theorem lemma1 --x 0.3 --lambda 0.7 --alpha 2.5",
+    )
+    reports = []
+    for command in commands:
+        fn, _, flags = command.partition(" --")
+        argv = ["verify", f"--fn={fn}", *(f"--{flags}".split() if flags else ())]
+        reports += cli._run_verify(parse_config(argv))
+    shapes = {(r.theorem, r.status) for r in reports}
+    assert {("T1", "PASS"), ("T1", "FAIL"), ("T1", "HYPOTHESIS_UNMET"), ("T1", "ERROR"),
+            ("T2", "PASS"), ("HH", "PASS"), ("LEMMA1", "PASS")} <= shapes
+    assert any(r.p is not None for r in reports) and any(r.s is not None for r in reports)
+    assert any(r.lhs is r.rhs is r.margin is None for r in reports)
+    lines = cli.reports_to_csv(reports).splitlines()
+    assert lines[0] == ",".join(REPORT_COLUMNS)
+    assert lines[1:] == [",".join(cli._cell(v) for v in cli._report_values(r))
+                         for r in reports]
 
 
 def test_convexity_gate_tolerance_scales_with_function(capsys):
