@@ -139,14 +139,13 @@ def _build_parser():
     pv.add_argument("--b", type=float)
     pv.add_argument("--x", type=float)
     pv.add_argument("--lambda", dest="lam", type=float)
-    pv.add_argument("--alpha", type=float, default=1.0)
-    pv.add_argument("--q", type=float, default=1.0)
+    pv.add_argument("--alpha", type=float)
+    pv.add_argument("--q", type=float)
     pv.add_argument("--s", type=float)
-    pv.add_argument("--kernel", choices=("constant", "power", "mt"), default="constant")
-    pv.add_argument("--theorem", choices=("t1", "t2", "hh", "lemma1"), default="t1")
+    pv.add_argument("--kernel", choices=("constant", "power", "mt"))
+    pv.add_argument("--theorem", choices=("t1", "t2", "hh", "lemma1"))
     pv.add_argument("--preset", choices=("c2", "c5"),
                     help="midpoint presets: x=(a+b)/2, lambda in {1/3, 0, 1}, phi=1")
-    # None when not given, so that a check that does not read them can reject them
     pv.add_argument("--tol", type=float)
     pv.add_argument("--inject-bound-scale", type=float,
                     help="test hook: multiply computed bounds by this factor")
@@ -252,9 +251,10 @@ def _attach_values(argv):
 def parse_config(argv):
     """Parse flags (and any config file) into a validated namespace;
     raises UsageError listing every violation.  ``--fn`` is stored as
-    ``function`` and ``--format`` as ``fmt``.  For verify, ``fn`` holds the
-    resolved function and ``kernel`` a PhiKernel; for sweep, ``plan`` holds
-    the SweepPlan."""
+    ``function`` and ``--format`` as ``fmt``.  For verify, ``check`` names
+    the check, the flags it reads hold their values or defaults, ``fn``
+    holds the resolved function and ``kernel`` a PhiKernel; for sweep,
+    ``plan`` holds the SweepPlan."""
     ns = _build_parser().parse_args(_attach_values(argv))
     if ns.command == "selftest":
         return ns
@@ -282,12 +282,24 @@ def parse_config(argv):
     return ns
 
 
-# which of --x, --lambda, --tol and --inject-bound-scale a check reads (t1
-# and t2 read all four); giving one that it does not read is a usage error
-_READ_BY = {"hh": (), "lemma1": ("--x", "--lambda"), "preset": ("--tol", "--inject-bound-scale")}
+# The flags each verify check reads, with their defaults (None: none, or for
+# --x the interval's midpoint, which the presets check too); t1's row holds
+# every verify flag but --preset.  argparse gives them all a default of None,
+# so that a given flag the chosen check does not read is a usage error.
+_T1 = {"--theorem": None, "--x": None, "--lambda": 0.0, "--alpha": 1.0, "--q": 1.0,
+       "--kernel": "constant", "--s": None, "--tol": MARGIN_TOL, "--inject-bound-scale": 1.0}
+_C2 = {"--alpha": 1.0, "--q": 1.0, "--tol": MARGIN_TOL, "--inject-bound-scale": 1.0}
+_READS = {"t1": _T1, "t2": _T1, "hh": {"--theorem": None},
+          "lemma1": {"--theorem": None, "--x": None, "--lambda": 0.0, "--alpha": 1.0},
+          "c2": _C2, "c5": {**_C2, "--q": 2.0}}
+_DEST = {flag: "lam" if flag == "--lambda" else flag[2:].replace("-", "_") for flag in _T1}
 
 
 def _check_verify(ns, violations):
+    check = ns.check = ns.preset or ns.theorem or "t1"
+    reads, args = _READS[check], vars(ns)
+    unread = [flag for flag in _T1 if args[_DEST[flag]] is not None and flag not in reads]
+    args.update({_DEST[flag]: v for flag, v in reads.items() if args[_DEST[flag]] is None})
     if ns.kernel == "power":
         if ns.s is None:
             violations.append("--kernel power requires --s")
@@ -296,7 +308,7 @@ def _check_verify(ns, violations):
                 ns.kernel = PhiKernel.power(ns.s)
             except DomainError as exc:
                 violations.append(str(exc))
-    else:
+    elif ns.kernel is not None:
         if ns.s is not None:
             violations.append(f"--s applies to --kernel power only, not {ns.kernel}")
         ns.kernel = PhiKernel.constant() if ns.kernel == "constant" else PhiKernel.mt()
@@ -309,24 +321,22 @@ def _check_verify(ns, violations):
             violations.append(str(exc))
         else:
             dom = ns.fn.domain
-            if ns.x is not None and not dom.a <= ns.x <= dom.b:
+            if ns.x is None:  # halved before the sum, so that it cannot overflow
+                ns.x = 0.5 * dom.a + 0.5 * dom.b
+            elif not dom.a <= ns.x <= dom.b:
                 violations.append(f"x must lie in [{dom.a}, {dom.b}], got {ns.x}")
     if ns.lam is not None and not 0.0 <= ns.lam <= 1.0:
         violations.append(f"lambda must lie in [0, 1], got {ns.lam}")
-    if not 0.0 < ns.alpha < math.inf:
+    if ns.alpha is not None and not 0.0 < ns.alpha < math.inf:
         violations.append(f"alpha must be positive and finite, got {ns.alpha}")
-    if not 1.0 <= ns.q < math.inf:
+    if ns.q is not None and not 1.0 <= ns.q < math.inf:
         violations.append(f"q must be finite and >= 1, got {ns.q}")
-    if ns.theorem == "t2" and ns.q <= 1.0 and ns.preset is None:
-        violations.append("theorem t2 requires q > 1 (p is derived as q/(q-1))")
+    name = f"preset {check}" if ns.preset else f"theorem {check}"
+    if check in ("t2", "c5") and ns.q <= 1.0:
+        violations.append(f"{name} requires q > 1 (p is derived as q/(q-1))")
     if ns.tol is not None and not 0.0 < ns.tol < math.inf:
         violations.append(f"--tol must be positive and finite, got {ns.tol}")
-    given = {"--x": ns.x, "--lambda": ns.lam, "--tol": ns.tol,
-             "--inject-bound-scale": ns.inject_bound_scale}
-    check = f"--preset {ns.preset}" if ns.preset else f"--theorem {ns.theorem}"
-    read = _READ_BY.get("preset" if ns.preset else ns.theorem, tuple(given))
-    violations += [f"{flag} does not apply to {check}" for flag, value in given.items()
-                   if value is not None and flag not in read]
+    violations += [f"{flag} does not apply to --{name}" for flag in unread]
 
 
 def _emit(cfg, text):
@@ -349,29 +359,18 @@ def _reports_exit(reports):
 
 
 def _run_verify(cfg):
-    fn = cfg.fn
-    interval = fn.domain
-    # halved before the sum, so a huge interval's midpoint does not overflow
-    mid = 0.5 * interval.a + 0.5 * interval.b
-    if cfg.preset is not None:
-        # the three lambda share one J1 + J2, one gate and one |f''|^q
-        kernel, x, lams = PhiKernel.constant(), mid, (1.0 / 3.0, 0.0, 1.0)
-        theorem = "T1" if cfg.preset == "c2" else "T2"
-        q = cfg.q if (cfg.preset == "c2" or cfg.q > 1.0) else 2.0
-    elif cfg.theorem == "hh":
+    fn, check = cfg.fn, cfg.check
+    if check == "hh":
         return [hermite_hadamard_check(fn, quad_tol=cfg.quad_tol)]
-    else:
-        x = cfg.x if cfg.x is not None else mid
-        lam = cfg.lam if cfg.lam is not None else 0.0
-        if cfg.theorem == "lemma1":
-            params = EvalParams(interval, x=x, lam=lam, alpha=cfg.alpha)
-            return [identity_check(fn, params, quad_tol=cfg.quad_tol)]
-        kernel, lams, theorem, q = cfg.kernel, (lam,), cfg.theorem.upper(), cfg.q
-    return verify_grid(
-        fn, (kernel,), (q,), (x,), lams, (cfg.alpha,), (theorem,),
-        tol=MARGIN_TOL if cfg.tol is None else cfg.tol, quad_tol=cfg.quad_tol,
-        rhs_scale=1.0 if cfg.inject_bound_scale is None else cfg.inject_bound_scale,
-    )
+    if check == "lemma1":
+        params = EvalParams(fn.domain, x=cfg.x, lam=cfg.lam, alpha=cfg.alpha)
+        return [identity_check(fn, params, quad_tol=cfg.quad_tol)]
+    # a preset's three lambda share one J1 + J2, one gate and one |f''|^q
+    kernel, lams = ((PhiKernel.constant(), (1.0 / 3.0, 0.0, 1.0)) if cfg.preset
+                    else (cfg.kernel, (cfg.lam,)))
+    theorem = {"c2": "T1", "c5": "T2"}.get(check, check.upper())
+    return verify_grid(fn, (kernel,), (cfg.q,), (cfg.x,), lams, (cfg.alpha,), (theorem,),
+                       tol=cfg.tol, quad_tol=cfg.quad_tol, rhs_scale=cfg.inject_bound_scale)
 
 
 def execute(config):

@@ -1,7 +1,9 @@
 """CLI contract tests: flag/config parsing, output schemas, round trips,
 determinism and exit codes."""
 
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -412,6 +414,9 @@ class TestExitCodes:
                                               "--inject-bound-scale 0")),
         *(("--theorem lemma1", flag) for flag in ("--tol 1e-3", "--inject-bound-scale 0")),
         *(("--preset c2", flag) for flag in ("--x 0.3", "--lambda 0.5")),
+        # these printed rows, exit 0: the flag's argparse default hid that it was given
+        ("--preset c2", "--kernel mt"), ("--theorem lemma1", "--kernel mt"),
+        ("--preset c2", "--theorem t2"),
     ])
     def test_flag_the_check_never_reads_is_two(self, check, flag, capsys):
         # --theorem hh --inject-bound-scale 0 printed PASS, exit 0: the
@@ -427,7 +432,18 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith("usage error: alpha must be positive")
         assert err[1:] == [f"usage error: {flag} does not apply to --theorem hh" for flag
-                           in ("--x", "--lambda", "--tol", "--inject-bound-scale")]
+                           in ("--x", "--lambda", "--alpha", "--tol", "--inject-bound-scale")]
+
+    @pytest.mark.parametrize("command, errors", [
+        # the plain HH row, exit 0
+        ("--theorem hh --kernel mt --alpha 3 --q 2", [
+            f"{flag} does not apply to --theorem hh" for flag in ("--alpha", "--q", "--kernel")]),
+        # T2 at q = 2 in place of the given q, exit 0
+        ("--preset c5 --q 1", ["preset c5 requires q > 1 (p is derived as q/(q-1))"]),
+    ])
+    def test_flags_with_a_default_are_checked_too(self, command, errors, capsys):
+        assert main(["verify", "--fn", "t^2", *command.split()]) == 2
+        assert capsys.readouterr() == ("", "".join(f"usage error: {e}\n" for e in errors))
 
     def test_hypothesis_unmet_not_a_failure(self, capsys):
         code = main(["verify", "--fn", "sqrt_control", "--theorem", "t1"])
@@ -499,3 +515,14 @@ def test_any_json_plan_parses_or_is_a_usage_error(tmp_path):
         assert len(cfg.plan.kernels) > 0
 
     check()
+
+
+def test_benchmark_session_commands_parse(monkeypatch):
+    # the cli-session workload times these command shapes; one that became
+    # a usage error would time the error path instead of the check
+    pytest.importorskip("scipy")  # imported by the workload module's oracle
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for seed in range(50):
+        for invocation in workloads.cli_session(seed):
+            parse_config(invocation["argv"])

@@ -1,8 +1,11 @@
-"""The README's library examples run, and print what their comments say."""
+"""The README's library examples run and print what their comments say, and
+its table of the flags each verify check reads is the command line's."""
 
 import math
 import re
 from pathlib import Path
+
+from phi_ineq.cli import _READS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +28,18 @@ def test_library_examples_run_and_match_their_comments():
     assert len(checked) == 4, checked
     for expression, (got, want) in checked.items():
         assert math.isclose(got, want, rel_tol=0.0, abs_tol=1e-12), expression
+
+
+def test_verify_flag_table_is_the_clis():
+    # the README's table of the flags each verify check reads and their
+    # defaults, against the one the command line decides with
+    text = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^\| ((?:`--(?:theorem|preset) \w+`(?:, )?)+) \| (.*) \|$", text, re.M)
+    named = {"none": None, "midpoint": None, "constant": "constant"}
+    table = {}
+    for checks, flags in rows:
+        read = {flag: named[value] if value in named else float(value)
+                for flag, value in re.findall(r"`(--[\w-]+)` \(([^)]*)\)", flags)}
+        table.update({check: read for check in re.findall(r"`--\w+ (\w+)`", checks)})
+    assert table == {check: {flag: value for flag, value in reads.items() if flag != "--theorem"}
+                     for check, reads in _READS.items()}
