@@ -29,9 +29,10 @@ fail sanity checks at lam in {0, 1} -- and never feed a bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .coefquad import coef_integral, kink, kink_splits
+from .coefquad import check_alpha_lam, coef_integral, kink, kink_splits
 from .errors import DomainError
 from .fracint import Interval, rl_left, rl_right
 from .quadrature import QUAD_TOL, QuadratureSpec, integrate
@@ -55,12 +56,9 @@ class EvalParams:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not self.interval.a <= self.x <= self.interval.b:
             raise DomainError(f"x={self.x} outside [{self.interval.a}, {self.interval.b}]")
-        if not 0.0 <= self.lam <= 1.0:
-            raise DomainError(f"lambda must lie in [0, 1], got {self.lam}")
-        if not self.alpha > 0.0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if not self.q >= 1.0:
-            raise DomainError(f"q must be >= 1, got {self.q}")
+        check_alpha_lam(self.alpha, self.lam)
+        if not 1.0 <= self.q < math.inf:
+            raise DomainError(f"q must be finite and >= 1, got {self.q}")
 
     @property
     def a(self):
@@ -126,10 +124,7 @@ def coef_a1(alpha, lam):
     (alpha*lam**(1 + 2/alpha) + 1)/(alpha + 2) - lam/2."""
     alpha = float(alpha)
     lam = float(lam)
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
+    check_alpha_lam(alpha, lam)
     lam_pow = lam ** (1.0 + 2.0 / alpha) if lam > 0.0 else 0.0
     return (alpha * lam_pow + 1.0) / (alpha + 2.0) - 0.5 * lam
 
@@ -217,6 +212,7 @@ def printed_coefficient(name, alpha, lam, *, s=None, p=None):
     """
     if name not in PRINTED_NAMES:
         raise DomainError(f"unknown printed coefficient {name!r}")
+    check_alpha_lam(alpha, lam)
 
     if name == "A2C":
         lam_pow = lam ** (1.0 + 3.0 / alpha) if lam > 0.0 else 0.0
@@ -235,6 +231,8 @@ def printed_coefficient(name, alpha, lam, *, s=None, p=None):
     if name in ("A4", "A5"):
         if s is None:
             raise DomainError(f"printed {name} requires the kernel exponent s")
+        if not 0.0 < s <= 1.0:
+            raise DomainError(f"printed {name} requires s in (0, 1], got {s}")
         if name == "A4":
             lam_pow = lam ** ((s + 2.0) / alpha + 1.0) if lam > 0.0 else 0.0
             return (
@@ -251,6 +249,8 @@ def printed_coefficient(name, alpha, lam, *, s=None, p=None):
     # B_closed, C1, C2 need the Holder exponent
     if p is None:
         raise DomainError(f"printed {name} requires the Holder exponent p")
+    if not 1.0 < p < math.inf:
+        raise DomainError(f"printed {name} requires a finite p > 1, got {p}")
     prefactor = (lam ** ((1.0 + p + alpha * p) / alpha) if lam > 0.0 else 0.0) / alpha
 
     def c1():

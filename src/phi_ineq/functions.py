@@ -6,13 +6,12 @@ polynomials in t, exp(...), ln(...), scalar multiples, sums and integer
 powers -- whose derivatives are computed symbolically, so they are exact
 at any scale of the interval.
 
-Each of f, f' and f'' is compiled once, when the function is built, into
-one Python function of t that performs the tree's operations in the
-tree's order (numpy's exp and log included), so a sample costs no walk of
-the tree and gives the bits the tree's ``eval`` gives.  ``eval`` stays as
-the reference the tests compare the compiled functions against.  A
-constant stays a float for an array t (so does f'' of ``exp(1)*t^2``);
-the convexity gate broadcasts it onto its grid.
+f, f' and f'' of a parsed expression are the ``eval`` of its tree and of
+its two derivatives, with numpy's exp and log: a float t gives a float, an
+array t an array, and a constant a float either way (so does f'' of
+``exp(1)*t^2``), which the convexity gate broadcasts onto its grid.
+``diff`` shares subtrees, so a walk of f'' grows with the cube of a
+product's length; ``MAX_NODES`` and ``MAX_DEPTH`` bound the walk.
 
 Grammar examples: ``t^2``, ``2*t^3 - t``, ``exp(t)``, ``-ln(t)``.
 """
@@ -40,9 +39,6 @@ class _Const:
     def diff(self):
         return _Const(0.0)
 
-    def emit(self, code):
-        return code.bind(self.v)
-
 
 class _Var:
     def eval(self, t):
@@ -50,9 +46,6 @@ class _Var:
 
     def diff(self):
         return _Const(1.0)
-
-    def emit(self, code):
-        return "t"
 
 
 class _Add:
@@ -65,10 +58,6 @@ class _Add:
     def diff(self):
         return _add(self.u.diff(), self.v.diff())
 
-    def emit(self, code):
-        u = self.u.emit(code)
-        return code.let(f"{u} + {self.v.emit(code)}")
-
 
 class _Mul:
     def __init__(self, u, v):
@@ -79,10 +68,6 @@ class _Mul:
 
     def diff(self):
         return _add(_mul(self.u.diff(), self.v), _mul(self.u, self.v.diff()))
-
-    def emit(self, code):
-        u = self.u.emit(code)
-        return code.let(f"{u} * {self.v.emit(code)}")
 
 
 class _Pow:
@@ -95,9 +80,6 @@ class _Pow:
     def diff(self):
         return _mul(_mul(_Const(self.n), _pow(self.base, self.n - 1)), self.base.diff())
 
-    def emit(self, code):
-        return code.let(f"{self.base.emit(code)} ** {code.bind(self.n)}")
-
 
 class _Exp:
     def __init__(self, arg):
@@ -109,9 +91,6 @@ class _Exp:
     def diff(self):
         return _mul(self, self.arg.diff())
 
-    def emit(self, code):
-        return code.let(f"_exp({self.arg.emit(code)})")
-
 
 class _Ln:
     def __init__(self, arg):
@@ -122,9 +101,6 @@ class _Ln:
 
     def diff(self):
         return _mul(_Inv(self.arg), self.arg.diff())
-
-    def emit(self, code):
-        return code.let(f"_log({self.arg.emit(code)})")
 
 
 class _Inv:
@@ -138,39 +114,6 @@ class _Inv:
 
     def diff(self):
         return _mul(_Const(-1.0), _mul(_mul(self, self), self.arg.diff()))
-
-    def emit(self, code):
-        return code.let(f"1.0 / {self.arg.emit(code)}")
-
-
-class _Code:
-    """The straight-line source of one expression tree: one assignment per
-    operation, in the order the tree's ``eval`` performs them, so the
-    compiled function returns the same values, bit for bit and in type.
-    Constants are bound as names rather than written as literals, whose
-    repr (``inf``, ``nan``) would not read back."""
-
-    def __init__(self):
-        self.env = {"_exp": np.exp, "_log": np.log}
-        self.lines = []
-
-    def bind(self, value):
-        name = f"c{len(self.env)}"
-        self.env[name] = value
-        return name
-
-    def let(self, expr):
-        name = f"v{len(self.lines)}"
-        self.lines.append(f"    {name} = {expr}")
-        return name
-
-
-def _compile(node):
-    """One Python function of t that evaluates the tree ``node``."""
-    code = _Code()
-    result = node.emit(code)
-    exec("\n".join(["def compiled(t):", *code.lines, f"    return {result}"]), code.env)
-    return code.env["compiled"]
 
 
 def _is_const(e, v=None):
@@ -312,6 +255,27 @@ class _Parser:
         self.error(f"unexpected character {ch!r} at position {self.pos}")
 
 
+# Every expression in the tests, the README and the benchmark has fewer than
+# 100 nodes in f, f' and f'' together; a product of 24 factors has 9,797.
+MAX_NODES = 10_000
+# eval recurses once per level; the other half of the default recursion limit is the checks'
+MAX_DEPTH = 500
+
+
+def _size(trees):
+    """(nodes, depth) of a walk of ``trees``, which visits a shared subtree
+    once per use; counted without recursion, and only to past MAX_NODES."""
+    nodes = depth = 0
+    stack = [(tree, 1) for tree in trees]
+    while stack and nodes <= MAX_NODES:
+        node, level = stack.pop()
+        nodes, depth = nodes + 1, max(depth, level)
+        if not isinstance(node, _Const):  # whose v is a value, not a subtree
+            stack.extend((getattr(node, k), level + 1)
+                         for k in ("u", "v", "base", "arg") if hasattr(node, k))
+    return nodes, depth
+
+
 def parse_expression(src):
     """Parse an expression string into an evaluable AST node."""
     return _Parser(src).parse()
@@ -342,17 +306,23 @@ class TestFunction:
     @classmethod
     def from_expression(cls, source, domain):
         """The function of an expression string on an Interval, named by
-        its source.  One nested deeper than the recursive parser, ``diff``
-        and compiler can go is a DomainError."""
+        its source: the ``eval`` of its tree and of its two derivatives.
+        One nested too deeply or too large to walk is a DomainError."""
+        short = source if len(source) <= 40 else source[:37] + "..."
+        deep = DomainError(f"function expression {short!r} is nested too deeply")
         try:
             ast = parse_expression(source)
             d1 = ast.diff()
             d2 = d1.diff()
-            f, f1, f2 = _compile(ast), _compile(d1), _compile(d2)
         except RecursionError:
-            short = source if len(source) <= 40 else source[:37] + "..."
-            raise DomainError(f"function expression {short!r} is nested too deeply") from None
-        return cls(name=source, f=f, f1=f1, f2=f2, domain=domain)
+            raise deep from None
+        nodes, depth = _size((ast, d1, d2))
+        if nodes > MAX_NODES:
+            raise DomainError(f"function expression {short!r} is too large: f, f' and f'' "
+                              f"have more than {MAX_NODES} nodes together")
+        if depth > MAX_DEPTH:
+            raise deep
+        return cls(name=source, f=ast.eval, f1=d1.eval, f2=d2.eval, domain=domain)
 
 
 def _sqrt_control():

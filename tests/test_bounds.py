@@ -47,6 +47,12 @@ class TestEvalParams:
             params(alpha=0.0)
         with pytest.raises(DomainError):
             params(q=0.5)
+        # verify_point read an infinite alpha as "endpoint exponents must be
+        # finite" and an infinite q as "function not finite on the sample grid"
+        with pytest.raises(DomainError, match="alpha must be positive and finite"):
+            params(alpha=math.inf)
+        with pytest.raises(DomainError, match="q must be finite"):
+            params(q=math.inf)
 
 
 class TestSFunctional:
@@ -89,6 +95,8 @@ class TestCoefficients:
         assert coef_a1(1.0, 0.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert coef_a1(1.0, 1.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
         assert coef_a1(2.0, 1.0) == pytest.approx(0.25, abs=1e-15)
+        with pytest.raises(DomainError, match="alpha must be positive and finite"):
+            coef_a1(math.inf, 0.5)  # was nan
 
     def test_a1_closed_matches_oracle_on_grid(self):
         for alpha in GRID_ALPHAS:
@@ -259,3 +267,17 @@ class TestPrintedCoefficients:
             printed_coefficient("C1", 1.0, 0.0)  # no p
         with pytest.raises(DomainError):
             printed_coefficient("A7", 1.0, 0.0)
+        # alpha = 0 was a ZeroDivisionError, lambda = 2 returned 2.25, and
+        # s = 5 and p = 0.5 were evaluated
+        for name, alpha, lam, s, p, match in (
+            ("A2C", 0.0, 0.5, None, None, "alpha"),
+            ("A3C", math.inf, 0.5, None, None, "alpha"),
+            ("A2C", 1.0, 2.0, None, None, "lambda"),
+            ("A4", 1.0, -0.1, 0.5, None, "lambda"),
+            ("A4", 1.0, 0.5, 5.0, None, "s in"),
+            ("A5", 1.0, 0.5, 0.0, None, "s in"),
+            ("C1", 1.0, 0.5, None, 0.5, "p > 1"),
+            ("B_closed", 1.0, 0.5, None, math.inf, "p > 1"),
+        ):
+            with pytest.raises(DomainError, match=match):
+                printed_coefficient(name, alpha, lam, s=s, p=p)

@@ -197,13 +197,33 @@ class TestExitCodes:
         "(" * 400 + "t" + ")" * 400,
         "exp(" * 300 + "t" + ")" * 300,
         "*".join(["t"] * 3001),
-    ], ids=["parentheses", "exp", "product"])
+        "+".join(["t^2"] * 500),
+    ], ids=["parentheses", "exp", "product", "sum"])
     def test_too_deep_expression_is_two(self, fn, capsys):
-        # the parser, diff and the compiler recurse once per level of the
-        # tree; a RecursionError ended in a traceback and exit 1, the FAIL code
+        # the parser, diff and eval recurse once per level of the tree; a
+        # RecursionError ended in a traceback and exit 1, the FAIL code.  The
+        # sum is one level deeper than MAX_DEPTH: diff gets through it, and
+        # eval would run out of stack inside a check
         assert main(["verify", "--fn", fn]) == 2
         err = capsys.readouterr().err
         assert f"usage error: function expression {fn[:37] + '...'!r} is nested too deeply" in err
+
+    @pytest.mark.parametrize("check", [
+        ["--theorem", "t1"], ["--theorem", "t2", "--q", "2"], ["--theorem", "hh"],
+        ["--theorem", "lemma1"],
+    ])
+    def test_deepest_expression_evaluates_inside_every_check(self, check, capsys):
+        # MAX_DEPTH leaves eval enough stack below each check
+        assert main(["verify", "--fn", "+".join(["t^2"] * 499), *check]) == 0
+
+    @pytest.mark.parametrize("factors", [60, 330])
+    def test_too_large_expression_is_two(self, factors, capsys):
+        # diff shares subtrees, so a walk of f'' grows with the cube of a
+        # product's length; these two ran out of memory
+        fn = "*".join(["t"] * factors)
+        assert main(["verify", "--fn", fn]) == 2
+        err = capsys.readouterr().err
+        assert f"usage error: function expression {fn[:37] + '...'!r} is too large" in err
 
     @pytest.mark.parametrize("fn", ["-ln(t)", "-t^2"])
     def test_fn_value_may_start_with_minus(self, fn, capsys):

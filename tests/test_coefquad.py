@@ -120,6 +120,13 @@ def test_weighted_families_need_a_kernel(family):
         coef_integral(family, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("alpha", (0.0, -1.0, math.inf, math.nan))
+def test_alpha_outside_positive_reals_rejected(alpha):
+    # coef_integral("A1", inf, 0.5) returned 0.25
+    with pytest.raises(DomainError, match="alpha must be positive and finite"):
+        coef_integral("A1", alpha, 0.5)
+
+
 @pytest.mark.parametrize("lam", (-0.1, 1.1))
 def test_lambda_outside_unit_interval_rejected(lam):
     with pytest.raises(DomainError):

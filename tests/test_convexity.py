@@ -126,7 +126,7 @@ def test_witness_determinism():
 
 @pytest.mark.parametrize("kernel", [CONST, PhiKernel.power(0.5), MT])
 def test_scalar_return_broadcasts_onto_the_grid(kernel):
-    # g may return anything that broadcasts to its argument's shape: a
-    # constant expression compiles to a function returning a float
+    # g may return anything that broadcasts to its argument's shape: the
+    # tree of a constant expression returns a float for an array t
     assert (check_phi_convex(lambda u: 2.0, kernel, UNIT)
             == check_phi_convex(lambda u: np.full(np.shape(u), 2.0), kernel, UNIT))
