@@ -3,19 +3,23 @@ the shape of the repository's ``BENCH_*.json`` files.
 
     python benchmarks/pairs.py --parent DIR --change DIR --seed N \
         --pairs sweep-dense=10 points-scatter=10 cli-session=10 \
-        --claim points-scatter:points_per_s --out BENCH_x.json
+        [--claim points-scatter:points_per_s] --out BENCH_x.json
 
 DIR is a plain copy of a tree (``git archive`` of a commit, or the files
-of a change).  Odd pairs run the parent first, even pairs the change
-first, one benchmark process at a time.  Each side also makes one traced
+of a change).  Every ``__pycache__`` under the two trees is deleted
+before the first pair, so that neither side starts from a stale bytecode
+cache.  Odd pairs run the parent first, even pairs the change first, one
+benchmark process at a time.  Each side also makes one traced
 run per workload (``--trace-seconds``), whose counts are exact for a
 seed.  The quartiles are ``statistics.quantiles(n=4,
 method='inclusive')`` over the pairs' values, and a win is a strictly
-better value in the same pair.
+better value in the same pair.  Without ``--claim`` the file records
+``"claim": null``.
 """
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -63,6 +67,21 @@ def summarise(runs):
     return summary
 
 
+def claim_summary(workloads, spec):
+    workload, metric = spec.split(":")
+    s = workloads[workload]["summary"][metric]
+    iqr = s["parent"]["q3"] - s["parent"]["q1"]
+    diff = s["change"]["median"] - s["parent"]["median"]
+    if s["better"] == "lower":
+        diff = -diff
+    return {"workload": workload, "metric": metric,
+            "parent_median": s["parent"]["median"], "change_median": s["change"]["median"],
+            "change_over_parent": s["change_over_parent_median"],
+            "change_wins": f"{s['change_wins']} of {s['pairs']} pairs",
+            "parent_iqr": round(iqr, 6), "median_difference": round(diff, 6),
+            "met": s["change_wins"] * 10 >= 9 * s["pairs"] and diff > iqr}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True)
@@ -71,10 +90,13 @@ def main():
     ap.add_argument("--seconds", type=float, default=38.0)
     ap.add_argument("--trace-seconds", type=float, default=10.0)
     ap.add_argument("--pairs", nargs="+", required=True, metavar="WORKLOAD=N")
-    ap.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
+    ap.add_argument("--claim", metavar="WORKLOAD:METRIC")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
     sides = {"parent": args.parent, "change": args.change}
+    for tree in sides.values():
+        for cache in sorted(Path(tree).rglob("__pycache__")):
+            shutil.rmtree(cache)
     workloads = {}
     trace = {}
     for spec in args.pairs:
@@ -90,18 +112,7 @@ def main():
         workloads[workload] = {"pairs": int(n), "summary": summarise(runs), "runs": runs}
         trace[workload] = {side: run(tree, workload, args.seed, args.trace_seconds, 1)
                            for side, tree in sides.items()}
-    workload, metric = args.claim.split(":")
-    s = workloads[workload]["summary"][metric]
-    iqr = s["parent"]["q3"] - s["parent"]["q1"]
-    diff = s["change"]["median"] - s["parent"]["median"]
-    if s["better"] == "lower":
-        diff = -diff
-    claim = {"workload": workload, "metric": metric,
-             "parent_median": s["parent"]["median"], "change_median": s["change"]["median"],
-             "change_over_parent": s["change_over_parent_median"],
-             "change_wins": f"{s['change_wins']} of {s['pairs']} pairs",
-             "parent_iqr": round(iqr, 6), "median_difference": round(diff, 6),
-             "met": s["change_wins"] * 10 >= 9 * s["pairs"] and diff > iqr}
+    claim = claim_summary(workloads, args.claim) if args.claim else None
     trace_cmd = (f"python3 perfbench/run.py --workload WORKLOAD --seed {args.seed} "
                  f"--seconds {args.trace_seconds:g} --trace 1")
     Path(args.out).write_text(json.dumps({

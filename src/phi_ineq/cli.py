@@ -312,19 +312,16 @@ def _check_verify(ns, violations):
         if ns.s is not None:
             violations.append(f"--s applies to --kernel power only, not {ns.kernel}")
         ns.kernel = PhiKernel.constant() if ns.kernel == "constant" else PhiKernel.mt()
-    if ns.a is not None and ns.b is not None and not ns.a < ns.b:
-        violations.append(f"interval needs a < b, got a={ns.a}, b={ns.b}")
+    try:
+        ns.fn = resolve_function(ns.function, ns.a, ns.b)
+    except DomainError as exc:
+        violations.append(str(exc))
     else:
-        try:
-            ns.fn = resolve_function(ns.function, ns.a, ns.b)
-        except DomainError as exc:
-            violations.append(str(exc))
-        else:
-            dom = ns.fn.domain
-            if ns.x is None:  # halved before the sum, so that it cannot overflow
-                ns.x = 0.5 * dom.a + 0.5 * dom.b
-            elif not dom.a <= ns.x <= dom.b:
-                violations.append(f"x must lie in [{dom.a}, {dom.b}], got {ns.x}")
+        dom = ns.fn.domain
+        if ns.x is None:  # halved before the sum, so that it cannot overflow
+            ns.x = 0.5 * dom.a + 0.5 * dom.b
+        elif not dom.a <= ns.x <= dom.b:
+            violations.append(f"x must lie in [{dom.a}, {dom.b}], got {ns.x}")
     if ns.lam is not None and not 0.0 <= ns.lam <= 1.0:
         violations.append(f"lambda must lie in [0, 1], got {ns.lam}")
     if ns.alpha is not None and not 0.0 < ns.alpha < math.inf:

@@ -107,8 +107,8 @@ class QuadratureSpec:
     right_exponent: float = 0.0
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0) or not (self.rel_tol > 0.0):
-            raise DomainError("abs_tol and rel_tol must be positive")
+        if not (0.0 < self.abs_tol < math.inf) or not (0.0 < self.rel_tol < math.inf):
+            raise DomainError("abs_tol and rel_tol must be positive and finite")
         for name in ("left_exponent", "right_exponent"):
             e = float(getattr(self, name))
             if not (math.isfinite(e) and e > -1.0):

@@ -1,13 +1,14 @@
 """Scalar special functions: Gamma, Beta, incomplete Beta and the Gauss
 hypergeometric function 2F1 at z = 1.
 
-All routines are deterministic pure functions.  Gamma uses the Lanczos
-approximation (g = 7, 9 coefficients), which keeps relative error near
-machine precision over the range used here.  The incomplete Beta with a
-*nonpositive* second parameter -- which the closed-form coefficient
-formulas request -- is defined only for an upper limit strictly below 1
-and is computed by adaptive quadrature; the complete case diverges and
-raises :class:`NonIntegrableError`.  Every function returns a float.
+All routines are deterministic pure functions.  Gamma and log Gamma come
+from the standard library's :func:`math.gamma` and :func:`math.lgamma`,
+with this package's errors for x <= 0 and on overflow.  The incomplete
+Beta with a *nonpositive* second parameter -- which the closed-form
+coefficient formulas request -- is defined only for an upper limit
+strictly below 1 and is computed by adaptive quadrature; the complete
+case diverges and raises :class:`NonIntegrableError`.  Every function
+returns a float.
 """
 
 from __future__ import annotations
@@ -18,57 +19,24 @@ from .errors import DivergenceError, DomainError, NonIntegrableError, ToleranceN
 from .quadrature import QuadratureSpec, integrate
 
 
-# Lanczos g = 7 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_LOG_SQRT_2PI = 0.9189385332046727417803297364056176
-_EXP_OVERFLOW = 709.78
-
-
-def _lanczos_pieces(x):
-    """For x >= 0.5 return (log_prefactor, series_sum) with
-    Gamma(x) = exp(log_prefactor) * series_sum."""
-    z = x - 1.0
-    s = _LANCZOS_C[0]
-    for k in range(1, 9):
-        s += _LANCZOS_C[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return (z + 0.5) * math.log(t) - t + _LOG_SQRT_2PI, s
-
-
 def gamma(x):
-    """Gamma(x) for real x > 0.  Overflow raises OverflowError instead of
-    returning inf."""
+    """Gamma(x) for real x > 0, from :func:`math.gamma`.  Overflow raises
+    OverflowError instead of returning inf."""
     x = float(x)
     if not x > 0.0 or not math.isfinite(x):
         raise DomainError(f"gamma requires x > 0, got {x}")
-    if x < 0.5:
-        return gamma(x + 1.0) / x
-    log_pre, s = _lanczos_pieces(x)
-    if log_pre + math.log(s) > _EXP_OVERFLOW:
-        raise OverflowError(f"gamma({x}) exceeds the double-precision range")
-    return math.exp(log_pre) * s
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise OverflowError(f"gamma({x}) exceeds the double-precision range") from None
 
 
 def log_gamma(x):
-    """log Gamma(x) for x > 0 (same Lanczos core as :func:`gamma`)."""
+    """log Gamma(x) for x > 0, from :func:`math.lgamma`."""
     x = float(x)
     if not x > 0.0 or not math.isfinite(x):
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        return log_gamma(x + 1.0) - math.log(x)
-    log_pre, s = _lanczos_pieces(x)
-    return log_pre + math.log(s)
+    return math.lgamma(x)
 
 
 def beta_fn(x, y):

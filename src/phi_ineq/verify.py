@@ -272,16 +272,24 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=MARGIN_TOL,
     numerically gets an ERROR report with the first failure in the order
     gate, S (whose table holds J1+J2's failure), coefficients, |f''|^q,
     assembly and that confirmation; p is left empty when the gate itself
-    failed."""
+    failed.  A setting the CLI rejects (a q below 1 or infinite, a tol or
+    quad_tol not positive and finite, a non-finite rhs_scale) raises
+    DomainError before any point is computed."""
     for theorem in theorems:
         if theorem not in ("T1", "T2"):
             raise DomainError(f"T1/T2 bounds only, got theorem {theorem!r}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+    if not 0.0 < quad_tol < math.inf:
+        raise DomainError(f"quad_tol must be positive and finite, got {quad_tol}")
+    if not math.isfinite(rhs_scale):
+        raise DomainError(f"rhs_scale must be finite, got {rhs_scale}")
     dom = fn.domain
     a, b = dom.a, dom.b
     qs = [float(q) for q in qs]
     for q in qs:
-        if not q >= 1.0:
-            raise DomainError(f"q must be >= 1, got {q}")
+        if not 1.0 <= q < math.inf:
+            raise DomainError(f"q must be finite and >= 1, got {q}")
     xs = [float(x) for x in xs]
     lams = [float(lam) for lam in lams]
     alphas = [float(alpha) for alpha in alphas]

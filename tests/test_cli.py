@@ -182,6 +182,14 @@ class TestExitCodes:
         assert main(["verify", *argv]) == 2
         assert f"usage error: {reason}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("a, b, reason", [
+        ("2", "1", "interval requires a < b, got [2.0, 1.0]"),
+        ("nan", "1", "interval endpoints must be finite"),
+    ])
+    def test_interval_is_checked_once_by_interval(self, a, b, reason, capsys):
+        assert main(["verify", "--fn", "t^2", "--a", a, "--b", b]) == 2
+        assert capsys.readouterr().err == f"usage error: {reason}\n"
+
     def test_unexpected_error_is_three(self, monkeypatch, capsys):
         # exit 1 is reserved for a FAIL row: any other exception leaves main
         # with its traceback on stderr and exit 3
@@ -304,13 +312,23 @@ class TestExitCodes:
         assert capsys.readouterr().out.endswith(",true,PASS\n")
 
     def test_confirmation_below_the_rounding_floor_is_three(self, capsys):
-        # at lam = 2/(alpha+2) Lemma 1's integrand cancels to 1e-3 of its
-        # |f''| mass of 6e6; this was FAIL with lhs 4.0 against rhs 0.094
-        assert main(["verify", "--fn", "t^3", "--a", "1e6", "--b", "1000000.01",
+        # at lam = 2/(alpha+2) Lemma 1's integrand cancels to 1e-4 of its
+        # |f''| mass of 6e6, so its confirmation of a four-term FAIL cannot
+        # be trusted
+        assert main(["verify", "--fn", "t^3", "--a", "1e6", "--b", "1000000.001",
                      "--lambda", "0.5", "--alpha", "2", "--format", "json"]) == 3
         (report,) = json.loads(capsys.readouterr().out)["reports"]
         assert report["status"] == "ERROR"
         assert "lies below the rounding floor 50*eps*int|f|" in report["message"]
+
+    def test_exact_zero_s_far_from_the_origin_passes(self, capsys):
+        # S is exactly 0 here; with Gamma(alpha+2) to the last ulp the
+        # four-term S gets it, where a 16-ulp Gamma left lhs 4.0 and sent
+        # the row to the confirmation above
+        assert main(["verify", "--fn", "t^3", "--a", "1e6", "--b", "1000000.01",
+                     "--lambda", "0.5", "--alpha", "2", "--format", "json"]) == 0
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert (report["status"], report["lhs"]) == ("PASS", 0.0)
 
     def test_fail_takes_lhs_from_lemma1(self, capsys):
         assert main(["verify", "--fn", "t^2", "--inject-bound-scale", "0.5"]) == 1

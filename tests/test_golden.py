@@ -25,25 +25,25 @@ from phi_ineq.functions import registry
 from phi_ineq.verify import sweep, verify_point
 
 GOLDEN = {
-    "sweep": "58322cdb15b9f794fc3ef575b2a90a30bddb55210bc7acb99210fa38f2a73c2b",
-    "sweep --format json": "36678726a2cea134570a48ebbb14f6971164c53440e8cf8ce3cda809cc0226d0",
-    "coeffs": "59dfd7cb5ede2f175b3f2fc4baf5519c9e111627e201e06d16942818888117f8",
-    "coeffs --format json": "2899f86e472c186d9fe22f5028a3ff8473c025ca951b65987d11e048d5227a16",
-    "selftest": "8e5c21d7da41a046c769b6858ba7781372823f3665c5210ab1789bfa242b376a",
+    "sweep": "358e26815506484d0eb59b7b3d49d92952413a3f549ace4e390bc7cd3ab97df5",
+    "sweep --format json": "85207c6ded71125500423f3476e35689eabf129b2ab7fffc5a0dd91705aa5cbb",
+    "coeffs": "7011c8b3d4d5e7d62278b4a806d0a77d2a8c20c075492142aad4d0db3430ec69",
+    "coeffs --format json": "aee1d66b97a641dd470c87df8f1f354ec1be63087223ffc70411f71ae815873f",
+    "selftest": "6de0f83c578f834ca0ba3c56d3a8a63985671bd7c588c852af167acd5ef02897",
     "verify --fn t^3 --preset c2":
         "e890c3d9ee4fdfa8939a44570efcf66ba355e6f6afcd39ccd5e998fd931a768b",
     "verify --fn exp(t) --preset c5 --alpha 2.5 --q 3 --format json":
-        "2fc4822358883eef2f8e6a7feb507c9411d9f152880d2e8ef634ad50d14e80cc",
+        "0dead6d057e70e2e440abb9238b8ea6a83c255cca51a41d8c5bfd6e723346776",
     "verify --fn exp(t) --theorem hh --format json":
         "98d1908dcb602b277331b91ad89ae4cc772c9a1ad9ed93b3a2923ac53bf4aca6",
     "verify --fn=-ln(t) --theorem lemma1 --x 0.8 --lambda 0.7 --alpha 2.5 --format json":
-        "6bcf2d4413046050abedd77e1b08e395a1fffcdab4950bbfe9cdb137a4365322",
+        "89899914562e5cf7423abda28efbeba4e2467a33268c6a0586898e6fb7e44f96",
     "verify --fn t^2 --theorem t2 --q 2 --kernel mt --format json":
         "40bf06ac2a12bc74fdd685eb6a8836023bb8e1d6e22d44a7f13c8bf7436845b8",
     "verify --fn=2*t^4-t --kernel power --s 0.5 --q 1.5 --x 0.3 --lambda 0.4 --alpha 0.7":
         "70cc001f349687fee178236a20ddae09ef7df6b96e8bddf6384d418623265189",
     "coeffs --quad-tol 1e-9":
-        "23d0ab661291c8b940ad8a17c70fe97470bc7d475c4aee10edc47e3c6edaf608",
+        "e47e5180b734352d74b56c3ea88f22845a2d41c348d38087b68ad599ae35ee03",
     "verify --fn=2*t^4-t --kernel power --s 0.5 --q 1.5 --x 0.3 --lambda 0.4 --alpha 0.7 "
     "--quad-tol 1e-9":
         "0bb41915cc2fff0f9a7677a0f2707f083ec447007fdea75cee7413072c92f2c9",
@@ -51,7 +51,7 @@ GOLDEN = {
         "a38a031c4d7694866d436e954231e4c18ffbc8405b5cac8509d0a650c15e0bd7",
     "verify --fn=-ln(t) --theorem lemma1 --x 0.8 --lambda 0.7 --alpha 2.5 --format json "
     "--quad-tol 1e-9":
-        "4db908510b5ebd66b95cb3ced5c4dea9a5a3df56f9ad7ca783ebb68f68cb27a4",
+        "10944670d5458397f01c1d936c67836b7a8bcffb04d231d9aa8fe3e67d1ed10a",
     # exp(t)'s hh bytes are the same at 1e-9 and 1e-12; sqrt_control's are not
     "verify --fn sqrt_control --theorem hh --format json --quad-tol 1e-9":
         "113f157d2c6d92565e7520c0d3086b1594e38d25d4274958ac93e58bd4b4d40e",
@@ -77,8 +77,8 @@ LARGE_PLAN = {
     "q": [1.0, 1.5, 3.0],
 }
 LARGE_GOLDEN = {
-    "csv": "89c8b1641393eed1e37e92d3f87650b57fbd19eb7b70ca8159c3a4417dcd2084",
-    "json": "9a2091cdb433c14c96aa988fb3aa4a3627afef9dcebc3f614f4ca87ce473ee92",
+    "csv": "4f4738c8b472b565cea2947bf74651c653f62627a8135d1655dbcffa8cc10f39",
+    "json": "9d3bf6fa04cbef4fa83d4e75b5325777e5ecb0d9d1a47353c42d2a7c7536ebaf",
 }
 
 
@@ -99,7 +99,7 @@ def test_large_sweep_digests(tmp_path):
 # random (x, lambda, alpha), alpha in [0.3, 3]: points off the integer and
 # half-integer alphas of the plans above.
 CONTINUOUS_CELLS = ((1.0, "T1"), (1.5, "T1"), (1.5, "T2"), (3.0, "T1"), (3.0, "T2"))
-CONTINUOUS_GOLDEN = "2ba197d1ec0ff15d34eed019a633c015b6ac4e027f4b2da075b8742aa12c9427"
+CONTINUOUS_GOLDEN = "0c8b5e23c318b005a8c46d20f2ab47e3fbcd613fe769f4d50ca821e5020a2cf9"
 
 
 def test_continuous_parameter_battery_digest():

@@ -172,6 +172,16 @@ def test_non_finite_sample():
         integrate(lambda t: 1.0 / (t - 0.5) if t != 0.5 else float("inf"), 0.49999, 0.50001)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_non_finite_tolerances_are_rejected(tol):
+    # an infinite tolerance stopped every integral after its first panel
+    for name in ("abs_tol", "rel_tol"):
+        with pytest.raises(DomainError, match="^abs_tol and rel_tol must be positive and finite$"):
+            QuadratureSpec(**{name: tol})
+    with pytest.raises(DomainError):
+        QuadratureSpec.for_quad_tol(tol)
+
+
 def test_invalid_specs():
     with pytest.raises(DomainError):
         QuadratureSpec(abs_tol=0.0)

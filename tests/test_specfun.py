@@ -1,6 +1,5 @@
-"""Special-function tests.  math.gamma / math.lgamma serve as the
-independent oracle for the Lanczos implementation; incomplete Beta is
-cross-checked against brute-force quadrature."""
+"""Special-function tests.  Gamma and log Gamma are held to mpmath at 40
+digits; incomplete Beta is cross-checked against brute-force quadrature."""
 
 import math
 
@@ -24,11 +23,16 @@ def test_gamma_golden_values():
     assert gamma(1.0) == pytest.approx(1.0, rel=1e-13)
 
 
-def test_gamma_against_stdlib_oracle():
-    x = 1e-3
-    while x <= 170.0:
-        assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)
-        x *= 1.7
+def _log_grid(lo, hi, n=241):
+    return [lo * (hi / lo) ** (k / (n - 1)) for k in range(n)]
+
+
+def test_gamma_within_8_ulp_of_mpmath():
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        for x in _log_grid(1e-3, 171.0):
+            want = mp.gamma(x)
+            assert abs(mp.mpf(gamma(x)) - want) <= 8 * math.ulp(float(want)), x
 
 
 def test_gamma_recurrence_invariant():
@@ -47,9 +51,25 @@ def test_gamma_domain_and_overflow():
         gamma(180.0)
 
 
-def test_log_gamma_matches_stdlib():
-    for x in (1e-3, 0.4, 1.0, 7.5, 42.0, 250.0):
-        assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=0, abs=1e-11 * max(1.0, abs(math.lgamma(x))))
+def test_gamma_keeps_its_own_errors():
+    # math.gamma says "math range error" on overflow and accepts inf
+    with pytest.raises(OverflowError, match=r"gamma\(180.0\) exceeds the double-precision range"):
+        gamma(180.0)
+    for x in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="gamma requires x > 0"):
+            gamma(x)
+        with pytest.raises(DomainError, match="log_gamma requires x > 0"):
+            log_gamma(x)
+
+
+def test_log_gamma_against_mpmath():
+    # absolute near the zeros at x = 1 and 2, relative elsewhere
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        for x in _log_grid(1e-3, 1e3) + [1.0 + k / 100 for k in range(-50, 150)]:
+            want = mp.loggamma(x)
+            bound = 8 * 2.0 ** -52 * max(1.0, abs(float(want)))
+            assert abs(mp.mpf(log_gamma(x)) - want) <= bound, x
 
 
 def test_beta_values():

@@ -24,6 +24,7 @@ from phi_ineq.verify import (
     identity_check,
     sweep,
     sweep_summary,
+    verify_grid,
     verify_point,
 )
 
@@ -401,6 +402,43 @@ def test_nan_rhs_is_an_error(monkeypatch, theorem, name):
     fn = registry()["t^2"]
     got = verify_point(fn, params(fn, q=2.0), CONST, theorem)
     assert got.status == "ERROR" and got.message.startswith("rhs is nan")
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"tol": math.nan}, "tol must be positive and finite, got nan"),
+    ({"tol": math.inf, "rhs_scale": 0.0}, "tol must be positive and finite, got inf"),
+    ({"tol": 0.0}, "tol must be positive and finite, got 0.0"),
+    ({"quad_tol": math.inf}, "quad_tol must be positive and finite, got inf"),
+    ({"quad_tol": 0.0}, "quad_tol must be positive and finite, got 0.0"),
+    ({"rhs_scale": math.inf}, "rhs_scale must be finite, got inf"),
+    ({"rhs_scale": math.nan}, "rhs_scale must be finite, got nan"),
+])
+def test_settings_the_cli_rejects_raise(setting, message):
+    # each used to give rows: FAIL at a positive margin (tol nan), PASS
+    # (tol, quad_tol or rhs_scale inf) or an ERROR row per point (quad_tol 0)
+    fn = registry()["t^2"]
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        verify_point(fn, params(fn), CONST, "T1", **setting)
+    plan = SweepPlan(("t^2",), (CONST,), (0.5,), (0.0,), (1.0,), (1.0,))
+    if "tol" not in setting:
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            sweep(plan, **setting)
+
+
+def test_checks_at_an_infinite_quad_tol_are_errors():
+    # the identity and Hermite-Hadamard checks build their own specs
+    fn = registry()["t^2"]
+    for r in (identity_check(fn, params(fn, lam=0.5), quad_tol=math.inf),
+              hermite_hadamard_check(fn, quad_tol=math.inf)):
+        assert r.status == "ERROR"
+        assert r.message == "abs_tol and rel_tol must be positive and finite"
+
+
+def test_infinite_q_raises():
+    # verify_grid's q >= 1 let inf through to a "not finite" ERROR row
+    fn = registry()["t^2"]
+    with pytest.raises(DomainError, match="^q must be finite and >= 1, got inf$"):
+        verify_grid(fn, (CONST,), (math.inf,), (0.5,), (0.0,), (1.0,), ("T1",))
 
 
 @pytest.mark.parametrize("c", [0.0, 1e2, 1e3, 1e4, 1e5, 1e6])
