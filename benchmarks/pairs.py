@@ -15,6 +15,13 @@ seed.  The quartiles are ``statistics.quantiles(n=4,
 method='inclusive')`` over the pairs' values, and a win is a strictly
 better value in the same pair.  Without ``--claim`` the file records
 ``"claim": null``.
+
+Each end-to-end metric gets a ``verdict`` against its ``bound`` in
+``BENCHMARK.json``, a fraction of the parent's median: ``worse`` when the
+change's median is worse than the parent's by more than the bound;
+``unresolved`` when the parent's IQR exceeds the bound (as a fraction of
+its median), unless every change run beats every parent run; ``ok``
+otherwise.
 """
 
 import argparse
@@ -25,7 +32,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-END_TO_END = {e["name"]: e["better"] for e in json.loads(
+END_TO_END = {e["name"]: (e["better"], e["bound"]) for e in json.loads(
     (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())["end_to_end"]}
 COUNTS = ("quadrature.integrals", "quadrature.evals", "quadrature.bisections",
           "quadrature.tolerance_not_met", "coefquad.calls", "coefquad.distinct",
@@ -51,18 +58,34 @@ def quartiles(values):
     return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
 
 
+def verdict(parent, change, better, bound):
+    """ok, worse or unresolved for one metric's runs; see the module
+    docstring."""
+    sign = 1.0 if better == "lower" else -1.0  # sign * value: lower is better
+    p_med = statistics.median(parent)
+    if sign * (statistics.median(change) - p_med) > bound * abs(p_med):
+        return "worse"
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    if q3 - q1 > bound * abs(p_med) and not (
+            max(sign * c for c in change) < min(sign * p for p in parent)):
+        return "unresolved"
+    return "ok"
+
+
 def summarise(runs):
     summary = {}
-    for name, better in END_TO_END.items():
+    for name, (better, bound) in END_TO_END.items():
         pairs = [(r["parent"]["metrics"][name], r["change"]["metrics"][name]) for r in runs]
         parent = [p for p, _ in pairs]
         change = [c for _, c in pairs]
         wins = sum((c < p) if better == "lower" else (c > p) for p, c in pairs)
         summary[name] = {
-            "better": better, "parent": quartiles(parent), "change": quartiles(change),
+            "better": better, "bound": bound, "parent": quartiles(parent),
+            "change": quartiles(change),
             "change_over_parent_median": round(
                 statistics.median(change) / statistics.median(parent), 4),
             "change_wins": wins, "pairs": len(pairs),
+            "verdict": verdict(parent, change, better, bound),
         }
     return summary
 

@@ -55,7 +55,7 @@ class EvalParams:
         for name in ("x", "lam", "alpha", "q"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if not self.interval.a <= self.x <= self.interval.b:
-            raise DomainError(f"x={self.x} outside [{self.interval.a}, {self.interval.b}]")
+            raise DomainError(f"x must lie in [{self.interval.a}, {self.interval.b}], got {self.x}")
         check_alpha_lam(self.alpha, self.lam)
         if not 1.0 <= self.q < math.inf:
             raise DomainError(f"q must be finite and >= 1, got {self.q}")

@@ -153,8 +153,7 @@ def _build_parser():
 
     ps = sub.add_parser("sweep", help="run a parameter sweep")
     ps.add_argument("--config", metavar="PATH", help="JSON sweep plan")
-    ps.add_argument("--tol", type=float, default=None,
-                    help="margin tolerance (overrides the plan's value)")
+    ps.add_argument("--tol", type=float, default=MARGIN_TOL, help="margin tolerance")
     ps.add_argument("--inject-bound-scale", type=float, default=1.0,
                     help="test hook: multiply computed bounds by this factor")
     _add_common(ps)
@@ -182,7 +181,7 @@ def _parse_kernel_token(token, violations):
 
 # plan key -> SweepPlan field
 _PLAN_FIELDS = {"functions": "function_names", "kernels": "kernels", "x": "x_rel",
-                "lambda": "lam", "alpha": "alpha", "q": "q", "tol": "tol"}
+                "lambda": "lam", "alpha": "alpha", "q": "q"}
 
 
 def _plan_from_file(path, violations):
@@ -202,17 +201,15 @@ def _plan_from_file(path, violations):
     fields = {}
     for key, value in raw.items():
         kind = "string" if key in ("functions", "kernels") else "number"
-        entries = [value] if key == "tol" else value
         if key not in _PLAN_FIELDS:
             violations.append(f"unknown config field {key!r}")
-        elif not (isinstance(entries, list)
-                and all(isinstance(v, str if kind == "string" else float) for v in entries)):
-            shape = f"a {kind}" if key == "tol" else f"a JSON list of {kind}s"
-            violations.append(f"plan {key} must be {shape}, got {value!r}")
+        elif not (isinstance(value, list)
+                and all(isinstance(v, str if kind == "string" else float) for v in value)):
+            violations.append(f"plan {key} must be a JSON list of {kind}s, got {value!r}")
         elif key == "kernels":
             fields["kernels"] = tuple(_parse_kernel_token(t, violations) for t in value)
         else:
-            fields[_PLAN_FIELDS[key]] = value if key == "tol" else tuple(value)
+            fields[_PLAN_FIELDS[key]] = tuple(value)
     if len(violations) > count:
         return None
     try:
@@ -254,7 +251,7 @@ def parse_config(argv):
     ``function`` and ``--format`` as ``fmt``.  For verify, ``check`` names
     the check, the flags it reads hold their values or defaults, ``fn``
     holds the resolved function and ``kernel`` a PhiKernel; for sweep,
-    ``plan`` holds the SweepPlan."""
+    ``plan`` holds the SweepPlan and ``tol`` its margin tolerance."""
     ns = _build_parser().parse_args(_attach_values(argv))
     if ns.command == "selftest":
         return ns
@@ -269,14 +266,11 @@ def parse_config(argv):
             ns.plan = _plan_from_file(ns.config, violations)
         else:
             ns.plan = default_sweep_plan()
-        if ns.tol is not None and ns.plan is not None:
-            # command-line flags override config-file values
-            if not 0.0 < ns.tol < math.inf:
-                violations.append(f"--tol must be positive and finite, got {ns.tol}")
-            else:
-                ns.plan = replace(ns.plan, tol=ns.tol)
     elif ns.command == "verify":
         _check_verify(ns, violations)
+    tol = getattr(ns, "tol", None)  # None for coeffs and where verify neither reads nor got it
+    if tol is not None and not 0.0 < tol < math.inf:
+        violations.append(f"--tol must be positive and finite, got {tol}")
     if violations:
         raise UsageError(violations)
     return ns
@@ -331,8 +325,6 @@ def _check_verify(ns, violations):
     name = f"preset {check}" if ns.preset else f"theorem {check}"
     if check in ("t2", "c5") and ns.q <= 1.0:
         violations.append(f"{name} requires q > 1 (p is derived as q/(q-1))")
-    if ns.tol is not None and not 0.0 < ns.tol < math.inf:
-        violations.append(f"--tol must be positive and finite, got {ns.tol}")
     violations += [f"{flag} does not apply to --{name}" for flag in unread]
 
 
@@ -380,7 +372,7 @@ def execute(config):
         _emit(config, text)
         return EXIT_PASS
     if config.command == "sweep":
-        reports = sweep(config.plan, quad_tol=config.quad_tol,
+        reports = sweep(config.plan, tol=config.tol, quad_tol=config.quad_tol,
                         rhs_scale=config.inject_bound_scale)
         text = reports_to_csv(reports) if config.fmt == "csv" else reports_to_json(reports)
         _emit(config, text)

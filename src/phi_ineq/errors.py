@@ -8,31 +8,19 @@ with a single except clause.
 
 
 class PhiIneqError(Exception):
-    """Base class for all library-specific errors."""
+    """Base class for all library-specific errors; raised as itself for an
+    integrand that returns a non-finite value."""
 
 
 class DomainError(PhiIneqError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
-class NonIntegrableError(DomainError):
-    """The requested integral diverges (e.g. complete Beta with a
-    nonpositive second parameter)."""
-
-
-class DivergenceError(DomainError):
-    """A series or limit evaluation diverges (e.g. 2F1 at z=1 with
-    c - a - b <= 0)."""
+    """An argument lies outside the mathematical domain of an operation,
+    including one where an integral or series diverges."""
 
 
 class ToleranceNotMet(PhiIneqError, RuntimeError):
     """An iteration stopped short of its tolerance: adaptive integration
     ran out of subdivisions or was asked for less than its rounding floor,
     or a continued fraction stalled."""
-
-
-class NonFiniteSample(PhiIneqError, ValueError):
-    """An integrand returned a non-finite value at an interior point."""
 
 
 class UsageError(PhiIneqError):

@@ -9,8 +9,8 @@ below 1 it is an integrable singularity, which the engine removes by
 substitution; at a non-integer order above 1 it is a non-smooth end,
 which the engine grades; at an integer order the end is smooth and left
 alone, and at alpha = 1 both operators reduce to the plain integral.
-The order must be positive: the order-zero convention J^0 f = f is not
-supported, and no bound formula needs it.
+The order must be positive and finite: the order-zero convention
+J^0 f = f is not supported, and no bound formula needs it.
 
 The interval endpoints may be any finite reals with a < b; nonnegativity
 of ``a`` is not required by any formula in this package.
@@ -61,8 +61,8 @@ def rl_left(f, a, alpha, x, *, quad_tol=QUAD_TOL):
     a = float(a)
     x = float(x)
     alpha = float(alpha)
-    if not alpha > 0.0:
-        raise DomainError(f"fractional order must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"fractional order must be positive and finite, got {alpha}")
     if not x > a:
         raise DomainError(f"rl_left requires x > a, got x={x}, a={a}")
     e = alpha - 1.0
@@ -74,8 +74,8 @@ def rl_right(f, b, alpha, x, *, quad_tol=QUAD_TOL):
     b = float(b)
     x = float(x)
     alpha = float(alpha)
-    if not alpha > 0.0:
-        raise DomainError(f"fractional order must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"fractional order must be positive and finite, got {alpha}")
     if not x < b:
         raise DomainError(f"rl_right requires x < b, got x={x}, b={b}")
     e = alpha - 1.0

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .errors import DomainError, NonFiniteSample, ToleranceNotMet
+from .errors import DomainError, PhiIneqError, ToleranceNotMet
 
 # 15-point Kronrod abscissae (positive half; XGK[7] = 0 is the centre) and
 # weights, with the embedded 7-point Gauss weights.  Values are the standard
@@ -88,7 +88,8 @@ QUAD_TOL = 1e-12
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and integrand structure hints.
+    """Tolerances, by default those of ``for_quad_tol(QUAD_TOL)``, and
+    integrand structure hints.
 
     ``split_points`` are panel boundaries strictly inside the interval.
     ``left_exponent`` and ``right_exponent`` declare the integrand's
@@ -100,8 +101,8 @@ class QuadratureSpec:
     rejected.
     """
 
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
+    abs_tol: float = 0.1 * QUAD_TOL
+    rel_tol: float = 10.0 * QUAD_TOL
     split_points: tuple[float, ...] = ()
     left_exponent: float = 0.0
     right_exponent: float = 0.0
@@ -186,12 +187,12 @@ def _not_finite(a, b, samples):
     h = 0.5 * (b - a)
     fc = samples[0]
     if not math.isfinite(fc):
-        return NonFiniteSample(f"integrand returned {fc!r} at {c!r}")
+        return PhiIneqError(f"integrand returned {fc!r} at {c!r}")
     for k in range(7):
         dx = h * XGK[k]
         for t, v in ((c - dx, samples[2 * k + 1]), (c + dx, samples[2 * k + 2])):
             if not math.isfinite(v):
-                return NonFiniteSample(f"integrand returned a non-finite value at {t!r}")
+                return PhiIneqError(f"integrand returned a non-finite value at {t!r}")
     return OverflowError(f"integral over the panel [{a!r}, {b!r}] exceeds the "
                          "double-precision range")
 
@@ -264,7 +265,7 @@ def integrate(f, lo, hi, spec=None):
     would be needed or when the tolerance lies below the rounding floor
     (max(abs_tol, rel_tol*|value|) < 50*eps*int|f|), which no error
     estimate can pass, so the loop could only bisect to the budget;
-    NonFiniteSample when ``f`` produces nan/inf at a sample point; and
+    PhiIneqError when ``f`` produces nan/inf at a sample point; and
     OverflowError when a panel's integral exceeds the double range.
     """
     if spec is None:

@@ -6,16 +6,17 @@ from the standard library's :func:`math.gamma` and :func:`math.lgamma`,
 with this package's errors for x <= 0 and on overflow.  The incomplete
 Beta with a *nonpositive* second parameter -- which the closed-form
 coefficient formulas request -- is defined only for an upper limit
-strictly below 1 and is computed by adaptive quadrature; the complete
-case diverges and raises :class:`NonIntegrableError`.  Every function
-returns a float.
+strictly below 1 and is computed by adaptive quadrature at the default
+tolerances of :class:`~phi_ineq.quadrature.QuadratureSpec`; the complete
+case diverges and raises :class:`DomainError`, as does 2F1 at z = 1 with
+c - a - b <= 0.  Every function returns a float.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DivergenceError, DomainError, NonIntegrableError, ToleranceNotMet
+from .errors import DomainError, ToleranceNotMet
 from .quadrature import QuadratureSpec, integrate
 
 
@@ -106,7 +107,7 @@ def incomplete_beta(upper, x, y):
 
     upper must lie in (0, 1] and x must be positive.  y may be any real;
     for y <= 0 the integrand is non-integrable at t = 1, so upper = 1 is
-    rejected and upper < 1 falls back to adaptive quadrature.
+    rejected and upper < 1 is integrated at ``QuadratureSpec()``'s tolerances.
     """
     upper, x, y = float(upper), float(x), float(y)
     if not 0.0 < upper <= 1.0:
@@ -115,14 +116,8 @@ def incomplete_beta(upper, x, y):
         raise DomainError(f"incomplete Beta requires x > 0, got {x}")
     if y <= 0.0:
         if upper == 1.0:
-            raise NonIntegrableError(
-                f"complete Beta with nonpositive second parameter y={y} diverges"
-            )
-        spec = QuadratureSpec(
-            abs_tol=1e-12,
-            rel_tol=1e-11,
-            left_exponent=x - 1.0 if x < 1.0 else 0.0,
-        )
+            raise DomainError(f"complete Beta with nonpositive second parameter y={y} diverges")
+        spec = QuadratureSpec(left_exponent=x - 1.0 if x < 1.0 else 0.0)
         return integrate(lambda t: t ** (x - 1.0) * (1.0 - t) ** (y - 1.0),
                          0.0, upper, spec).value
     if upper == 1.0:
@@ -139,9 +134,7 @@ def gauss_2f1(a, b, c):
         raise DomainError(f"2F1 requires c > 0, got c={c}")
     cab = c - a - b
     if cab <= 0.0:
-        raise DivergenceError(
-            f"2F1 diverges at z=1 when c-a-b <= 0 (got c-a-b={cab})"
-        )
+        raise DomainError(f"2F1 diverges at z=1 when c-a-b <= 0 (got c-a-b={cab})")
     if c - a <= 0.0 or c - b <= 0.0:
         raise DomainError(
             "closed-form summation at z=1 needs c-a > 0 and c-b > 0"

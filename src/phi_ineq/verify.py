@@ -182,7 +182,6 @@ class SweepPlan:
     lam: tuple[float, ...]
     alpha: tuple[float, ...]
     q: tuple[float, ...]
-    tol: float = MARGIN_TOL
 
     def __post_init__(self):
         problems = []
@@ -196,18 +195,16 @@ class SweepPlan:
                 problems.append(f"{name} grid is empty")
         for v in self.x_rel:
             if not 0.0 <= v <= 1.0:
-                problems.append(f"x position {v} outside [0, 1]")
+                problems.append(f"x must lie in [0, 1], got {v}")
         for v in self.lam:
             if not 0.0 <= v <= 1.0:
-                problems.append(f"lambda {v} outside [0, 1]")
+                problems.append(f"lambda must lie in [0, 1], got {v}")
         for v in self.alpha:
             if not 0.0 < v < math.inf:
-                problems.append(f"alpha {v} outside (0, inf)")
+                problems.append(f"alpha must be positive and finite, got {v}")
         for v in self.q:
             if not 1.0 <= v < math.inf:
-                problems.append(f"q {v} outside [1, inf)")
-        if not 0.0 < self.tol < math.inf:
-            problems.append(f"tol {self.tol} outside (0, inf)")
+                problems.append(f"q must be finite and >= 1, got {v}")
         if problems:
             raise DomainError("; ".join(problems))
 
@@ -374,7 +371,7 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=MARGIN_TOL,
     return reports
 
 
-def sweep(plan, *, quad_tol=QUAD_TOL, rhs_scale=1.0):
+def sweep(plan, *, tol=MARGIN_TOL, quad_tol=QUAD_TOL, rhs_scale=1.0):
     """Run the full Cartesian product of the plan through one
     :func:`verify_grid` per function; T2 points exist only where q > 1 (p
     is derived as q/(q-1)).  Reports come back sorted by (function,
@@ -386,7 +383,7 @@ def sweep(plan, *, quad_tol=QUAD_TOL, rhs_scale=1.0):
         a, b = fn.domain.a, fn.domain.b
         reports.extend(verify_grid(
             fn, plan.kernels, plan.q, [a + (b - a) * xi for xi in plan.x_rel],
-            plan.lam, plan.alpha, ("T1", "T2"), tol=plan.tol, quad_tol=quad_tol,
+            plan.lam, plan.alpha, ("T1", "T2"), tol=tol, quad_tol=quad_tol,
             rhs_scale=rhs_scale,
         ))
     reports.sort(key=_sort_key)

@@ -352,10 +352,10 @@ class TestExitCodes:
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(json.dumps({
             "functions": ["t^2"], "kernels": ["constant"],
-            "x": [0.5], "lambda": [0.0], "alpha": [1.0], "q": [1.0], "tol": -1,
+            "x": [0.5], "lambda": [0.0], "alpha": [1.0], "q": [1.0],
         }))
-        assert main(["sweep", "--config", str(plan_file)]) == 2
-        assert "tol -1.0 outside (0, inf)" in capsys.readouterr().err
+        assert main(["sweep", "--config", str(plan_file), "--tol", "-1"]) == 2
+        assert "--tol must be positive and finite, got -1.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("plan, reason", [
         ({"kernels": [1]}, "plan kernels must be a JSON list of strings"),
@@ -363,6 +363,7 @@ class TestExitCodes:
         ({"functions": ["bogus"]}, "unknown registry function 'bogus'"),
         ({"functions": "t^2"}, "plan functions must be a JSON list of strings, got 't^2'"),
         ({"x": ["0.5"]}, "plan x must be a JSON list of numbers, got ['0.5']"),
+        ({"tol": 1e-6}, "unknown config field 'tol'"),
     ])
     def test_malformed_plan_is_two(self, plan, reason, tmp_path, capsys):
         # these ended in a traceback (exit 1, the FAIL code) or in exit 3
@@ -399,9 +400,9 @@ class TestExitCodes:
         assert f"usage error: {reason}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("plan, argv, reason", [
-        ({"tol": float("inf")}, ["--inject-bound-scale", "0"], "tol inf outside (0, inf)"),
-        ({"alpha": [float("inf")]}, [], "alpha inf outside (0, inf)"),
-        ({"q": [float("inf")]}, [], "q inf outside [1, inf)"),
+        ({"tol": float("inf")}, ["--inject-bound-scale", "0"], "unknown config field 'tol'"),
+        ({"alpha": [float("inf")]}, [], "alpha must be positive and finite, got inf"),
+        ({"q": [float("inf")]}, [], "q must be finite and >= 1, got inf"),
         ({}, ["--tol", "inf"], "--tol must be positive and finite"),
         ({}, ["--inject-bound-scale", "nan"], "--inject-bound-scale must be finite, got nan"),
         ({}, ["--inject-bound-scale", "-inf"], "--inject-bound-scale must be finite, got -inf"),

@@ -94,6 +94,16 @@ def test_order_zero_rejected():
         rl_right(f, 1.0, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_non_finite_order_rejected(alpha):
+    # inf reached QuadratureSpec's "endpoint exponents must be finite"
+    message = f"^fractional order must be positive and finite, got {alpha}$"
+    with pytest.raises(DomainError, match=message):
+        rl_left(lambda t: t, 0.0, alpha, 1.0)
+    with pytest.raises(DomainError, match=message):
+        rl_right(lambda t: t, 1.0, alpha, 0.0)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         rl_left(lambda t: t, 0.0, 1.0, 0.0)  # x must exceed a

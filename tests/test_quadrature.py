@@ -9,9 +9,10 @@ import pytest
 
 from phi_ineq import bounds, coefquad, fracint, quadrature
 from phi_ineq.convexity import PhiKernel
-from phi_ineq.errors import DomainError, NonFiniteSample, ToleranceNotMet
+from phi_ineq.errors import DomainError, PhiIneqError, ToleranceNotMet
 from phi_ineq.functions import registry
 from phi_ineq.quadrature import (
+    QUAD_TOL,
     WG,
     WGK,
     XGK,
@@ -167,8 +168,13 @@ def test_spec_for_quad_tol():
     assert spec.split_points == (0.5,) and spec.left_exponent == -0.5
 
 
+def test_default_spec_is_that_of_the_default_quad_tol():
+    # the defaults were 1e-12 and 1e-10, a third spelling of the default
+    assert QuadratureSpec() == QuadratureSpec.for_quad_tol(QUAD_TOL)
+
+
 def test_non_finite_sample():
-    with pytest.raises(NonFiniteSample):
+    with pytest.raises(PhiIneqError):
         integrate(lambda t: 1.0 / (t - 0.5) if t != 0.5 else float("inf"), 0.49999, 0.50001)
 
 
@@ -283,12 +289,12 @@ def test_graded_ends_bound_the_evaluation_count(name, module, call, count, monke
 
 def test_non_finite_sample_names_the_first_bad_node():
     nan = float("nan")
-    with pytest.raises(NonFiniteSample, match=r"^integrand returned nan at 0\.5$"):
+    with pytest.raises(PhiIneqError, match=r"^integrand returned nan at 0\.5$"):
         integrate(lambda t: nan if t == 0.5 else 1.0, 0.0, 1.0)
     # a pair node only; the later inf does not win over it
     node = 0.5 + 0.5 * XGK[3]
     bad = {node: nan, 0.5 - 0.5 * XGK[5]: float("inf")}
-    with pytest.raises(NonFiniteSample) as info:
+    with pytest.raises(PhiIneqError) as info:
         integrate(lambda t: bad.get(t, 1.0), 0.0, 1.0)
     assert str(info.value) == f"integrand returned a non-finite value at {node!r}"
 
@@ -403,7 +409,7 @@ DIFFERENTIAL_BATTERY = [
 def _outcome(run):
     try:
         return run()
-    except (ToleranceNotMet, NonFiniteSample, OverflowError) as exc:
+    except (PhiIneqError, OverflowError) as exc:
         return type(exc), str(exc)
 
 

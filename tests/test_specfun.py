@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from phi_ineq.errors import DivergenceError, DomainError, NonIntegrableError
+from phi_ineq.errors import DomainError
 from phi_ineq.quadrature import QuadratureSpec, integrate
 from phi_ineq.specfun import (
     beta_fn,
@@ -127,7 +127,7 @@ def test_incomplete_beta_errors():
         incomplete_beta(1.5, 1.0, 1.0)
     with pytest.raises(DomainError):
         incomplete_beta(0.5, -1.0, 1.0)
-    with pytest.raises(NonIntegrableError):
+    with pytest.raises(DomainError, match="diverges"):
         incomplete_beta(1.0, 2.0, -0.5)
 
 
@@ -136,7 +136,7 @@ def test_2f1_values():
 
 
 def test_2f1_gauss_summation_tag_and_errors():
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DomainError, match="diverges"):
         gauss_2f1(1.0, 2.0, 3.0)  # c-a-b = 0
     with pytest.raises(DomainError):
         gauss_2f1(1.0, 1.0, -1.0)

@@ -176,8 +176,9 @@ class TestSweep:
     @pytest.mark.parametrize("tol", [0.0, -1.0])
     def test_plan_rejects_non_positive_tol(self, tol):
         # a margin tolerance <= 0 turns rounding in an equality case into FAIL
-        with pytest.raises(DomainError, match="tol"):
-            SweepPlan(("t^2",), (CONST,), (0.5,), (0.0,), (1.0,), (1.0,), tol=tol)
+        plan = SweepPlan(("t^2",), (CONST,), (0.5,), (0.0,), (1.0,), (1.0,))
+        with pytest.raises(DomainError, match=f"^tol must be positive and finite, got {tol}$"):
+            sweep(plan, tol=tol)
 
     def test_spec_example_shape(self):
         plan = SweepPlan(
@@ -284,7 +285,7 @@ def _reference_sweep(plan, *, quad_tol=1e-12, rhs_scale=1.0):
                                     continue
                                 reports.append(_reference_point(
                                     fn, p, kernel, theorem,
-                                    tol=plan.tol, quad_tol=quad_tol, rhs_scale=rhs_scale,
+                                    quad_tol=quad_tol, rhs_scale=rhs_scale,
                                 ))
     reports.sort(key=lambda r: (r.function, r.kernel, r.theorem, r.x, r.lam, r.alpha, r.q))
     return reports
