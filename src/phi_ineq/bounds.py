@@ -32,8 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coefquad import check_alpha_lam, coef_integral, kink, kink_splits
-from .errors import DomainError
+from .coefquad import coef_integral, kink, kink_splits
+from .errors import DomainError, check_ranges
 from .fracint import Interval, rl_left, rl_right
 from .quadrature import QUAD_TOL, QuadratureSpec, integrate
 from .specfun import gamma, gauss_2f1, incomplete_beta
@@ -56,9 +56,7 @@ class EvalParams:
             object.__setattr__(self, name, float(getattr(self, name)))
         if not self.interval.a <= self.x <= self.interval.b:
             raise DomainError(f"x must lie in [{self.interval.a}, {self.interval.b}], got {self.x}")
-        check_alpha_lam(self.alpha, self.lam)
-        if not 1.0 <= self.q < math.inf:
-            raise DomainError(f"q must be finite and >= 1, got {self.q}")
+        check_ranges(("alpha", self.alpha), ("lambda", self.lam), ("q", self.q))
 
     @property
     def a(self):
@@ -124,7 +122,7 @@ def coef_a1(alpha, lam):
     (alpha*lam**(1 + 2/alpha) + 1)/(alpha + 2) - lam/2."""
     alpha = float(alpha)
     lam = float(lam)
-    check_alpha_lam(alpha, lam)
+    check_ranges(("alpha", alpha), ("lambda", lam))
     lam_pow = lam ** (1.0 + 2.0 / alpha) if lam > 0.0 else 0.0
     return (alpha * lam_pow + 1.0) / (alpha + 2.0) - 0.5 * lam
 
@@ -212,7 +210,7 @@ def printed_coefficient(name, alpha, lam, *, s=None, p=None):
     """
     if name not in PRINTED_NAMES:
         raise DomainError(f"unknown printed coefficient {name!r}")
-    check_alpha_lam(alpha, lam)
+    check_ranges(("alpha", alpha), ("lambda", lam))
 
     if name == "A2C":
         lam_pow = lam ** (1.0 + 3.0 / alpha) if lam > 0.0 else 0.0

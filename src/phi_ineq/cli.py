@@ -12,8 +12,9 @@ column order; identical configurations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
-import math
 import sys
 import traceback
 from dataclasses import replace
@@ -23,7 +24,7 @@ import numpy as np
 
 from .bounds import EvalParams
 from .convexity import PhiKernel
-from .errors import DomainError, PhiIneqError, UsageError
+from .errors import DomainError, PhiIneqError, UsageError, range_violations
 from .functions import resolve_function
 from .quadrature import QUAD_TOL
 from .report import build_ledger
@@ -53,16 +54,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def _cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _report_values(r):
     return (r.function, r.kernel, r.theorem, r.a, r.b, r.x, r.lam, r.alpha,
             r.q, r.p, r.s, r.lhs, r.rhs, r.margin, r.hypothesis_ok, r.status)
@@ -70,14 +61,14 @@ def _report_values(r):
 
 def reports_to_csv(reports):
     """The CSV of ``reports``, one f-string per row with the cells
-    :func:`_cell` gives: repr for a float, empty for None, true/false."""
+    ``csv.writer`` writes, but true/false for hypothesis_ok; no function
+    name or kernel label holds a character that needs quoting."""
     lines = [",".join(REPORT_COLUMNS)]
     append = lines.append
     for r in reports:
         x, lam, alpha, q, p, s = r.x, r.lam, r.alpha, r.q, r.p, r.s
         lhs, rhs, margin = r.lhs, r.rhs, r.margin
-        # the cells of REPORT_COLUMNS, in order, as _cell renders them
-        # (hypothesis_ok is always a bool)
+        # the cells of REPORT_COLUMNS, in order (hypothesis_ok is always a bool)
         append(f"{r.function},{r.kernel},{r.theorem},{r.a!r},{r.b!r},"
                f"{'' if x is None else repr(x)},{'' if lam is None else repr(lam)},"
                f"{'' if alpha is None else repr(alpha)},{'' if q is None else repr(q)},"
@@ -102,10 +93,11 @@ def _ledger_values(e):
 
 
 def ledger_to_csv(entries):
-    lines = [",".join(LEDGER_COLUMNS)]
-    for e in entries:
-        lines.append(",".join(_cell(v) for v in _ledger_values(e)))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(LEDGER_COLUMNS)
+    writer.writerows(_ledger_values(e) for e in entries)
+    return out.getvalue()
 
 
 def ledger_to_json(entries):
@@ -255,11 +247,9 @@ def parse_config(argv):
     ns = _build_parser().parse_args(_attach_values(argv))
     if ns.command == "selftest":
         return ns
-    violations = []
-    if not 0.0 < ns.quad_tol < math.inf:
-        violations.append(f"--quad-tol must be positive and finite, got {ns.quad_tol}")
-    if not math.isfinite(getattr(ns, "inject_bound_scale", None) or 0.0):  # None: not given
-        violations.append(f"--inject-bound-scale must be finite, got {ns.inject_bound_scale}")
+    # --inject-bound-scale: None when not given to verify, absent from coeffs
+    violations = range_violations(("--quad-tol", ns.quad_tol),
+                                  ("--inject-bound-scale", getattr(ns, "inject_bound_scale", None)))
 
     if ns.command == "sweep":
         if ns.config is not None:
@@ -268,9 +258,8 @@ def parse_config(argv):
             ns.plan = default_sweep_plan()
     elif ns.command == "verify":
         _check_verify(ns, violations)
-    tol = getattr(ns, "tol", None)  # None for coeffs and where verify neither reads nor got it
-    if tol is not None and not 0.0 < tol < math.inf:
-        violations.append(f"--tol must be positive and finite, got {tol}")
+    # None for coeffs and where verify neither reads nor got it
+    violations += range_violations(("--tol", getattr(ns, "tol", None)))
     if violations:
         raise UsageError(violations)
     return ns
@@ -316,12 +305,7 @@ def _check_verify(ns, violations):
             ns.x = 0.5 * dom.a + 0.5 * dom.b
         elif not dom.a <= ns.x <= dom.b:
             violations.append(f"x must lie in [{dom.a}, {dom.b}], got {ns.x}")
-    if ns.lam is not None and not 0.0 <= ns.lam <= 1.0:
-        violations.append(f"lambda must lie in [0, 1], got {ns.lam}")
-    if ns.alpha is not None and not 0.0 < ns.alpha < math.inf:
-        violations.append(f"alpha must be positive and finite, got {ns.alpha}")
-    if ns.q is not None and not 1.0 <= ns.q < math.inf:
-        violations.append(f"q must be finite and >= 1, got {ns.q}")
+    violations += range_violations(("lambda", ns.lam), ("alpha", ns.alpha), ("q", ns.q))
     name = f"preset {check}" if ns.preset else f"theorem {check}"
     if check in ("t2", "c5") and ns.q <= 1.0:
         violations.append(f"{name} requires q > 1 (p is derived as q/(q-1))")

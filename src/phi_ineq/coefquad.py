@@ -53,11 +53,10 @@ ask for the same integrals again.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from .convexity import KIND_CONSTANT, KIND_MT, phi_function
-from .errors import DomainError
+from .errors import DomainError, check_ranges
 from .quadrature import QUAD_TOL, QuadratureSpec, integrate
 
 FAMILIES = ("A1", "A2", "A3", "B", "M")
@@ -88,18 +87,10 @@ def _integrand(family, alpha, lam, kernel, p):
     return lambda t: t * phi(t)  # M
 
 
-def check_alpha_lam(alpha, lam):
-    """A DomainError unless alpha is positive and finite and lam in [0, 1]."""
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lambda must lie in [0, 1], got {lam}")
-
-
 def _validate(family, alpha, lam, kernel, p, lo, hi):
     if family not in FAMILIES:
         raise DomainError(f"unknown coefficient family {family!r}")
-    check_alpha_lam(alpha, lam)
+    check_ranges(("alpha", alpha), ("lambda", lam))
     if family == "B" and not p > 0.0:
         raise DomainError(f"family B needs a positive exponent p, got {p}")
     if family in ("A2", "A3", "M") and kernel is None:

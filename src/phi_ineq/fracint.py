@@ -9,7 +9,7 @@ below 1 it is an integrable singularity, which the engine removes by
 substitution; at a non-integer order above 1 it is a non-smooth end,
 which the engine grades; at an integer order the end is smooth and left
 alone, and at alpha = 1 both operators reduce to the plain integral.
-The order must be positive and finite: the order-zero convention
+Only a positive, finite order is accepted: the order-zero convention
 J^0 f = f is not supported, and no bound formula needs it.
 
 The interval endpoints may be any finite reals with a < b; nonnegativity
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_ranges
 from .quadrature import QUAD_TOL, QuadratureSpec, integrate
 from .specfun import gamma
 
@@ -38,6 +38,7 @@ class Interval:
             raise DomainError("interval endpoints must be finite")
         if not self.a < self.b:
             raise DomainError(f"interval requires a < b, got [{self.a}, {self.b}]")
+        check_ranges(("b - a", self.b - self.a))
 
 
 def _kernel_weighted(integrand, length, alpha, quad_tol):
@@ -61,8 +62,7 @@ def rl_left(f, a, alpha, x, *, quad_tol=QUAD_TOL):
     a = float(a)
     x = float(x)
     alpha = float(alpha)
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"fractional order must be positive and finite, got {alpha}")
+    check_ranges(("fractional order", alpha))
     if not x > a:
         raise DomainError(f"rl_left requires x > a, got x={x}, a={a}")
     e = alpha - 1.0
@@ -74,8 +74,7 @@ def rl_right(f, b, alpha, x, *, quad_tol=QUAD_TOL):
     b = float(b)
     x = float(x)
     alpha = float(alpha)
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"fractional order must be positive and finite, got {alpha}")
+    check_ranges(("fractional order", alpha))
     if not x < b:
         raise DomainError(f"rl_right requires x < b, got x={x}, b={b}")
     e = alpha - 1.0

@@ -160,7 +160,8 @@ _NUMBER = re.compile(r"[0-9]+\.?[0-9]*|\.[0-9]+")
 class _Parser:
     """Recursive descent over: expr := term (('+'|'-') term)*;
     term := unary ('*' unary)*; unary := ('-'|'+')* power;
-    power := atom ('^' INT)?; atom := NUMBER | 't' | exp(expr) | ln(expr) | (expr)."""
+    power := atom ('^' INT)?; atom := NUMBER | 't' | exp(expr) | ln(expr) | (expr);
+    tokens are separated by spaces and tabs only, never a line break."""
 
     def __init__(self, src):
         self.src = src
@@ -170,7 +171,7 @@ class _Parser:
         raise DomainError(f"cannot parse function expression {self.src!r}: {msg}")
 
     def peek(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
+        while self.pos < len(self.src) and self.src[self.pos] in " \t":
             self.pos += 1
         return self.src[self.pos] if self.pos < len(self.src) else ""
 
@@ -219,7 +220,7 @@ class _Parser:
         return e
 
     def integer(self):
-        self.peek()  # skip whitespace
+        self.peek()  # skip spaces and tabs
         m = _INTEGER.match(self.src, self.pos)
         if not m:
             self.error(f"expected a nonnegative integer exponent at position {self.pos}")

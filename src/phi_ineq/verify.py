@@ -10,8 +10,10 @@ grid), else PASS iff margin >= -tol.  T1/T2 pass rhs - lhs and ``tol``
 (default MARGIN_TOL), with a FAIL's |S| taken again from Lemma 1's form
 (:func:`identity_rhs`); LEMMA1 passes -|S - identity_rhs| and
 :func:`identity_tolerance`; HH passes min(mean - mid, end - mean) and
-1e-10.  A numerical failure (PhiIneqError, overflow, division by zero, a
-nan side) becomes the ERROR report of :func:`_error_report`.
+1e-10 * max(1, |mid|, |mean|, |end|), which a linear f, HH's equality
+case, meets at any scale.  A numerical failure (PhiIneqError, overflow,
+division by zero, a nan side) becomes the ERROR report of
+:func:`_error_report`.
 
 Every T1/T2 verdict comes from :func:`verify_grid`: :func:`verify_point`
 is its one-point form and :func:`sweep` calls it once per function.  Two
@@ -22,7 +24,6 @@ coefficient integrals of :mod:`phi_ineq.coefquad`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -38,7 +39,7 @@ from .bounds import (
 )
 from .coefquad import coef_integral
 from .convexity import PhiKernel, check_phi_convex
-from .errors import DomainError, PhiIneqError
+from .errors import DomainError, PhiIneqError, check_ranges, range_violations
 from .functions import registry
 from .quadrature import QUAD_TOL, QuadratureSpec, integrate
 
@@ -153,7 +154,7 @@ def identity_check(fn, params, *, quad_tol=QUAD_TOL):
 def hermite_hadamard_check(fn, *, quad_tol=QUAD_TOL):
     """Classical Hermite-Hadamard warm-up on fn's domain [a, b]:
     f((a+b)/2) <= mean of f over [a, b] <= (f(a)+f(b))/2 for convex f,
-    up to a margin tolerance of 1e-10."""
+    up to a margin tolerance of 1e-10 * max(1, |mid|, |mean|, |end|)."""
     a, b = fn.domain.a, fn.domain.b
     fields = (fn.name, "", "HH", a, b, None, None, None, None, None, None)
     try:
@@ -166,7 +167,8 @@ def hermite_hadamard_check(fn, *, quad_tol=QUAD_TOL):
     except _NUMERICAL as exc:
         return _error_report(fields, exc)
     return BoundReport(*fields, mid, end_avg, margin, witness.holds,
-                       _status(witness.holds, margin, 1e-10),
+                       _status(witness.holds, margin,
+                               1e-10 * max(1.0, abs(mid), abs(mean), abs(end_avg))),
                        {"midpoint": mid, "integral_mean": mean, "endpoint_avg": end_avg})
 
 
@@ -193,18 +195,9 @@ class SweepPlan:
                              ("lam", self.lam), ("alpha", self.alpha), ("q", self.q)):
             if len(values) == 0:
                 problems.append(f"{name} grid is empty")
-        for v in self.x_rel:
-            if not 0.0 <= v <= 1.0:
-                problems.append(f"x must lie in [0, 1], got {v}")
-        for v in self.lam:
-            if not 0.0 <= v <= 1.0:
-                problems.append(f"lambda must lie in [0, 1], got {v}")
-        for v in self.alpha:
-            if not 0.0 < v < math.inf:
-                problems.append(f"alpha must be positive and finite, got {v}")
-        for v in self.q:
-            if not 1.0 <= v < math.inf:
-                problems.append(f"q must be finite and >= 1, got {v}")
+        for name, values in (("x", self.x_rel), ("lambda", self.lam), ("alpha", self.alpha),
+                             ("q", self.q)):
+            problems += range_violations(*((name, v) for v in values))
         if problems:
             raise DomainError("; ".join(problems))
 
@@ -270,23 +263,16 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=MARGIN_TOL,
     gate, S (whose table holds J1+J2's failure), coefficients, |f''|^q,
     assembly and that confirmation; p is left empty when the gate itself
     failed.  A setting the CLI rejects (a q below 1 or infinite, a tol or
-    quad_tol not positive and finite, a non-finite rhs_scale) raises
-    DomainError before any point is computed."""
+    quad_tol not positive and finite, a non-finite rhs_scale) raises one
+    DomainError naming each before any point is computed."""
     for theorem in theorems:
         if theorem not in ("T1", "T2"):
             raise DomainError(f"T1/T2 bounds only, got theorem {theorem!r}")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
-    if not 0.0 < quad_tol < math.inf:
-        raise DomainError(f"quad_tol must be positive and finite, got {quad_tol}")
-    if not math.isfinite(rhs_scale):
-        raise DomainError(f"rhs_scale must be finite, got {rhs_scale}")
+    qs = [float(q) for q in qs]
+    check_ranges(("tol", tol), ("quad_tol", quad_tol), ("rhs_scale", rhs_scale),
+                 *(("q", q) for q in qs))
     dom = fn.domain
     a, b = dom.a, dom.b
-    qs = [float(q) for q in qs]
-    for q in qs:
-        if not 1.0 <= q < math.inf:
-            raise DomainError(f"q must be finite and >= 1, got {q}")
     xs = [float(x) for x in xs]
     lams = [float(lam) for lam in lams]
     alphas = [float(alpha) for alpha in alphas]
@@ -375,7 +361,9 @@ def sweep(plan, *, tol=MARGIN_TOL, quad_tol=QUAD_TOL, rhs_scale=1.0):
     """Run the full Cartesian product of the plan through one
     :func:`verify_grid` per function; T2 points exist only where q > 1 (p
     is derived as q/(q-1)).  Reports come back sorted by (function,
-    kernel, theorem, x, lambda, alpha, q)."""
+    kernel, theorem, x, lambda, alpha, q).  ``tol``, ``quad_tol`` and
+    ``rhs_scale`` are checked first, even for a plan with no functions."""
+    check_ranges(("tol", tol), ("quad_tol", quad_tol), ("rhs_scale", rhs_scale))
     reg = registry()
     reports = []
     for name in plan.function_names:

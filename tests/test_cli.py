@@ -1,7 +1,9 @@
 """CLI contract tests: flag/config parsing, output schemas, round trips,
 determinism and exit codes."""
 
+import csv
 import importlib
+import io
 import json
 from pathlib import Path
 
@@ -493,7 +495,8 @@ class TestExitCodes:
 
 def test_csv_rows_match_the_cell_renderer():
     # reports_to_csv writes a row with one hand-written f-string; every
-    # row shape must give the cells _cell renders, in REPORT_COLUMNS order
+    # row shape must give the cells csv.writer writes, in REPORT_COLUMNS
+    # order, but for hypothesis_ok as true/false
     commands = (
         "t^3 --x 0.5 --lambda 0 --alpha 1",               # T1 PASS
         "t^2 --inject-bound-scale 0.5",                   # T1 FAIL
@@ -516,8 +519,19 @@ def test_csv_rows_match_the_cell_renderer():
     assert any(r.lhs is r.rhs is r.margin is None for r in reports)
     lines = cli.reports_to_csv(reports).splitlines()
     assert lines[0] == ",".join(REPORT_COLUMNS)
-    assert lines[1:] == [",".join(cli._cell(v) for v in cli._report_values(r))
-                         for r in reports]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [("true" if v else "false") if isinstance(v, bool) else v for v in cli._report_values(r)]
+        for r in reports)
+    assert lines[1:] == out.getvalue().splitlines()
+
+
+def test_hh_tolerance_scales_with_function(capsys):
+    # a linear f is HH's equality case; its margin is -9.3e-10 of rounding
+    # in a mean of 6e6, which the absolute 1e-10 misread as a FAIL
+    assert main(["verify", "--fn", "3*t+1", "--a", "1e6", "--b", "3e6", "--theorem", "hh"]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.endswith(",6000001.0,6000001.0,-9.313225746154785e-10,true,PASS")
 
 
 def test_convexity_gate_tolerance_scales_with_function(capsys):

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from phi_ineq.cli import main
 from phi_ineq.errors import DomainError
 from phi_ineq.fracint import Interval, rl_left, rl_right
 from phi_ineq.specfun import gamma
@@ -18,6 +19,14 @@ def test_interval_validation():
         Interval(2.0, 1.0)
     with pytest.raises(DomainError):
         Interval(0.0, math.inf)
+
+
+def test_interval_whose_width_overflows_is_rejected(capsys):
+    # b - a overflowed to inf and surfaced as a non-finite sample at t=nan
+    with pytest.raises(DomainError, match=r"^b - a must be finite, got inf$"):
+        Interval(-1e308, 1e308)
+    assert main(["verify", "--fn", "t^2", "--a", "-1e308", "--b", "1e308"]) == 2
+    assert capsys.readouterr().err == "usage error: b - a must be finite, got inf\n"
 
 
 def test_alpha_one_reduces_to_plain_integral():

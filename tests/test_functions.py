@@ -169,3 +169,12 @@ def test_non_finite_constant_is_a_usage_error(capsys):
     # rejected before any check runs
     assert main(["verify", "--fn", "1" + "0" * 400 + "*t^3"]) == 2
     assert "non-finite value inside the domain" in capsys.readouterr().err
+
+
+def test_a_line_break_in_an_expression_is_a_usage_error(capsys):
+    # only spaces and tabs separate tokens: a line break used to be
+    # skipped, and the function name then split its CSV row in three
+    assert main(["verify", "--fn", "t^2\n+ t"]) == 2
+    assert capsys.readouterr() == ("", "usage error: cannot parse function expression "
+                                       "'t^2\\n+ t': unexpected trailing input at position 3\n")
+    assert main(["verify", "--fn", "t^2\t+ t"]) == 0
