@@ -18,13 +18,18 @@ quantities.  S equals the two-integral second-derivative form computed by
 :func:`identity_rhs`, which is what :func:`phi_ineq.verify.identity_check`
 certifies numerically.
 
-The theorem bounds are always assembled from quadrature oracles of the
-coefficient integrals A2, A3 (T1) and B, M (T2), which come from
-:func:`phi_ineq.coefquad.coef_integral`; A1, the T1 prefactor's base, has
-the closed form :func:`coef_a1`.  The printed closed forms (A2C, A3C, A4,
-A5, B_closed, C1, C2) are evaluated by :func:`printed_coefficient`
-exactly as written, for the discrepancy ledger only -- several of them
-fail sanity checks at lam in {0, 1} -- and never feed a bound.
+The theorem bounds read their coefficients from :func:`t1_coefficients`
+(A1, A2, A3) and :func:`t2_coefficients` (B, M).  A1, the T1 prefactor's
+base, has the closed form :func:`coef_a1`; A2 under the constant and
+power(s) kernels and A3 under the constant kernel have the closed forms
+of :func:`_moment` and :func:`_a3_constant`.  A3 under power(s), A2 and
+A3 under MT and B need incomplete Betas and come from the quadrature of
+:func:`phi_ineq.coefquad.coef_integral`, as does M, a few integrals per
+process.  ``coef_integral`` also stays the oracle of every family for the
+ledger, the selftest and the tests.  The printed closed forms (A2C, A3C, A4, A5, B_closed, C1, C2)
+are evaluated by :func:`printed_coefficient` exactly as written, for the
+discrepancy ledger only -- several of them fail sanity checks at lam in
+{0, 1} -- and never feed a bound.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import math
 from dataclasses import dataclass
 
 from .coefquad import coef_integral, kink, kink_splits
+from .convexity import KIND_CONSTANT, KIND_MT
 from .errors import DomainError, check_ranges
 from .fracint import Interval, rl_left, rl_right
 from .quadrature import QUAD_TOL, QuadratureSpec, integrate
@@ -99,6 +105,7 @@ def identity_rhs(fn, params, *, quad_tol=QUAD_TOL):
     integrals of t*(lam - t**alpha) * f''(t*x + (1-t)*end) over [0, 1].
     Near t = 0 the integrand is lam*t*f'' - t**(alpha+1)*f'', so that end
     is declared with exponent alpha + 1."""
+    check_ranges(("quad_tol", quad_tol))
     a, b = params.a, params.b
     x, lam, alpha = params.x, params.lam, params.alpha
     w = b - a
@@ -127,21 +134,65 @@ def coef_a1(alpha, lam):
     return (alpha * lam_pow + 1.0) / (alpha + 2.0) - 0.5 * lam
 
 
+def _moment(k, alpha, lam):
+    """int_0^1 |t*(lam - t**alpha)| * t**k dt in closed form, k > -2: with
+    kappa = k + 2 and mu = lam**(kappa/alpha), the kink m = lam**(1/alpha)
+    raised to kappa,
+
+        ((1 - lam) + alpha/kappa * lam*(2*mu - 1)) / (alpha + kappa),
+
+    the printed A2C at k = 1 and the printed A4 with its missing
+    -lam/(s+2) at k = s, over one denominator."""
+    kappa = k + 2.0
+    mu = lam ** (kappa / alpha)
+    return ((1.0 - lam) + alpha / kappa * lam * (2.0 * mu - 1.0)) / (alpha + kappa)
+
+
+def _a3_constant(alpha, lam):
+    """A3 under the constant kernel, int_0^1 |t*(lam - t**alpha)| * (1-t) dt,
+    as A1 - A2 over one denominator, which keeps the small A3 of a large
+    alpha at lam = 0 without the subtraction's cancellation; no product
+    overflows before alpha does."""
+    mu2 = lam ** (2.0 / alpha)
+    mu3 = lam ** (3.0 / alpha)
+    g = 6.0 * (alpha + 3.0) * mu2 - 4.0 * (alpha + 2.0) * mu3 - (alpha + 5.0)
+    num = 6.0 * (1.0 - lam) / (alpha + 2.0) + alpha / (alpha + 2.0) * lam * g
+    return num / (6.0 * (alpha + 3.0))
+
+
+def t1_coefficients(alpha, lam, kernel, *, quad_tol=QUAD_TOL):
+    """(A1, A2, A3) of the T1 bound under ``kernel``.  A1 is
+    :func:`coef_a1`.  A2 is closed-form under the constant and power(s)
+    kernels (:func:`_moment`, as t*phi(t) is t or t**s), and A3 under the
+    constant kernel (:func:`_a3_constant`).  A3 under power(s), and A2 and
+    A3 under MT, need incomplete Betas and come from
+    :func:`~phi_ineq.coefquad.coef_integral`, A2 first."""
+    check_ranges(("quad_tol", quad_tol))
+    a1 = coef_a1(alpha, lam)
+    if kernel.kind == KIND_MT:
+        a2 = coef_integral("A2", alpha, lam, kernel, quad_tol=quad_tol)
+    else:
+        a2 = _moment(1.0 if kernel.kind == KIND_CONSTANT else kernel.s, alpha, lam)
+    if kernel.kind == KIND_CONSTANT:
+        a3 = _a3_constant(alpha, lam)
+    else:
+        a3 = coef_integral("A3", alpha, lam, kernel, quad_tol=quad_tol)
+    return a1, a2, a3
+
+
 def theorem1_bound(fn, params, kernel, *, quad_tol=QUAD_TOL):
     """Power-mean bound (T1):
 
     A1**(1-1/q) * [ (x-a)**(a+2)/(b-a) * (A2*|f''(x)|^q + A3*|f''(a)|^q)**(1/q)
                   + (b-x)**(a+2)/(b-a) * (A2*|f''(x)|^q + A3*|f''(b)|^q)**(1/q) ]
 
-    with A2, A3 from their quadrature oracles.  The prefactor is exactly 1
-    at q = 1.
+    with A1, A2, A3 from :func:`t1_coefficients`.  The prefactor is
+    exactly 1 at q = 1.
     """
-    a, b = params.a, params.b
-    x, lam, alpha, q = params.x, params.lam, params.alpha, params.q
-    a2 = coef_integral("A2", alpha, lam, kernel, quad_tol=quad_tol)
-    a3 = coef_integral("A3", alpha, lam, kernel, quad_tol=quad_tol)
-    a1 = None if q == 1.0 else coef_a1(alpha, lam)
-    return power_mean_rhs(a, b, x, alpha, q, (a1, a2, a3), f2_powers(fn, a, b, x, q))
+    coefs = t1_coefficients(params.alpha, params.lam, kernel, quad_tol=quad_tol)
+    a, b, x = params.a, params.b, params.x
+    return power_mean_rhs(a, b, x, params.alpha, params.q, coefs,
+                          f2_powers(fn, a, b, x, params.q))
 
 
 def f2_powers(fn, a, b, x, q):
@@ -162,22 +213,30 @@ def power_mean_rhs(a, b, x, alpha, q, coefs, powers):
     return prefactor * (term_a + term_b)
 
 
+def t2_coefficients(alpha, lam, p, kernel, *, quad_tol=QUAD_TOL):
+    """(B, M) of the T2 bound at the Holder exponent p, B first, both from
+    :func:`~phi_ineq.coefquad.coef_integral`: B over [0, 1] is the sum of
+    its pieces either side of the kink, and M, one integral per kernel
+    (270 evaluations in a points-scatter process), stays a quadrature."""
+    return (coef_integral("B", alpha, lam, p=p, quad_tol=quad_tol),
+            coef_integral("M", 1.0, 0.0, kernel, quad_tol=quad_tol))
+
+
 def theorem2_bound(fn, params, kernel, *, quad_tol=QUAD_TOL):
     """Holder bound (T2), for q > 1 and its conjugate p = q/(q-1):
 
     B**(1/p) * [ (x-a)**(a+2)/(b-a) * ((|f''(x)|^q + |f''(a)|^q) * M)**(1/q)
                + (b-x)**(a+2)/(b-a) * ((|f''(x)|^q + |f''(b)|^q) * M)**(1/q) ]
 
-    with B and M = int t*phi(t) dt from quadrature.
+    with B and M = int t*phi(t) dt from :func:`t2_coefficients`.
     """
     a, b = params.a, params.b
-    x, lam, alpha, q = params.x, params.lam, params.alpha, params.q
+    x, alpha, q = params.x, params.alpha, params.q
     if q <= 1.0:
         raise DomainError("Holder bound requires q > 1")
     p = q / (q - 1.0)
-    b_val = coef_integral("B", alpha, lam, p=p, quad_tol=quad_tol)
-    m = coef_integral("M", 1.0, 0.0, kernel, quad_tol=quad_tol)
-    return holder_rhs(a, b, x, alpha, q, p, (b_val, m), f2_powers(fn, a, b, x, q))
+    coefs = t2_coefficients(alpha, params.lam, p, kernel, quad_tol=quad_tol)
+    return holder_rhs(a, b, x, alpha, q, p, coefs, f2_powers(fn, a, b, x, q))
 
 
 def holder_rhs(a, b, x, alpha, q, p, coefs, powers):

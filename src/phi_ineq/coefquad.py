@@ -9,10 +9,14 @@ one of five integrand families built from ``base(t) = t*(lam - t**alpha)``:
     B:   |base(t)| ** p
     M:   t * phi(t)
 
-:func:`coef_integral` is the only way to ask for one: the theorem bounds,
-the per-run tables of :func:`phi_ineq.verify.verify_grid`, the
-discrepancy ledger (which also asks for B on [0, m] and [m, 1], the C1/C2
-split at the kink m) and the selftest all call it.  M does not depend on
+:func:`coef_integral` is the only way to ask for one.  The theorem
+bounds and the per-run tables of :func:`phi_ineq.verify.verify_grid` ask
+through :func:`phi_ineq.bounds.t1_coefficients` and
+:func:`~phi_ineq.bounds.t2_coefficients`, which take A2 under the constant
+and power(s) kernels and A3 under the constant kernel from closed forms
+instead; the discrepancy ledger (which also asks for B on [0, m] and
+[m, 1], the C1/C2 split at the kink m), the selftest and the tests ask
+for every family here.  M does not depend on
 (alpha, lam); callers pass (1.0, 0.0).  Each family is handed to
 :func:`phi_ineq.quadrature.integrate` under the spec of ``quad_tol``
 (:meth:`~phi_ineq.quadrature.QuadratureSpec.for_quad_tol`), with the kink
@@ -36,10 +40,16 @@ the kink:
     M       power(s)  s                               0
     M       MT        1/2                             -1/2
 
+B over a range with the kink strictly inside is the sum of its two
+cached pieces either side of the kink, where the table above declares p
+at m, whatever p.  A kink passed only as a split point leaves
+``|t - m|**p`` undeclared: at p = 1.5 the 147 B integrals of the seed-7
+points-scatter benchmark took 88,320 evaluations whole and take 21,375
+in pieces (at p = 2 and 3, 29,190 and 30,000).
+
 The constant kernel's families, smooth but for ``t**(alpha+1)`` in
-``|base|`` at t = 0, are left undeclared, so their coefficients keep
-their bytes: they set the zero margins of the equality cases, which are
-judged at an absolute tolerance.  A3's MT end at t = 0 keeps the
+``|base|`` at t = 0, are left undeclared, so the ledger's and the
+selftest's oracle values keep their bytes.  A3's MT end at t = 0 keeps the
 weight's -1/2 although ``|base|`` lifts the integrand there to
 ``t**(1/2)``: its substitution t = u**2 makes that power smooth, where
 grading would not.
@@ -87,10 +97,10 @@ def _integrand(family, alpha, lam, kernel, p):
     return lambda t: t * phi(t)  # M
 
 
-def _validate(family, alpha, lam, kernel, p, lo, hi):
+def _validate(family, alpha, lam, kernel, p, lo, hi, quad_tol):
     if family not in FAMILIES:
         raise DomainError(f"unknown coefficient family {family!r}")
-    check_ranges(("alpha", alpha), ("lambda", lam))
+    check_ranges(("alpha", alpha), ("lambda", lam), ("quad_tol", quad_tol))
     if family == "B" and not p > 0.0:
         raise DomainError(f"family B needs a positive exponent p, got {p}")
     if family in ("A2", "A3", "M") and kernel is None:
@@ -133,10 +143,14 @@ def _end_exponents(family, alpha, lam, kernel, p, lo, hi):
 
 # Kept across calls: one process of the points-scatter benchmark makes
 # 1,029 verify_point calls whose 441 T2 points need only 3 distinct M (one
-# per kernel); 438 of its 2,058 coefficient calls are answered here.
+# per kernel); 438 of its 1,470 coefficient calls are answered here.
 @lru_cache(maxsize=16384)
 def _cached(family, alpha, lam, kernel, p, lo, hi, quad_tol):
     splits = () if family == "M" else kink_splits(alpha, lam, lo, hi)
+    if family == "B" and splits:
+        (m,) = splits
+        return (_cached(family, alpha, lam, kernel, p, lo, m, quad_tol)
+                + _cached(family, alpha, lam, kernel, p, m, hi, quad_tol))
     left_e, right_e = _end_exponents(family, alpha, lam, kernel, p, lo, hi)
     spec = QuadratureSpec.for_quad_tol(
         quad_tol, split_points=splits, left_exponent=left_e, right_exponent=right_e,
@@ -152,5 +166,6 @@ def coef_integral(family, alpha, lam, kernel=None, *, p=1.0, lo=0.0, hi=1.0, qua
     p = float(p)
     lo = float(lo)
     hi = float(hi)
-    _validate(family, alpha, lam, kernel, p, lo, hi)
-    return _cached(family, alpha, lam, kernel, p, lo, hi, float(quad_tol))
+    quad_tol = float(quad_tol)
+    _validate(family, alpha, lam, kernel, p, lo, hi, quad_tol)
+    return _cached(family, alpha, lam, kernel, p, lo, hi, quad_tol)

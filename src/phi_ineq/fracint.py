@@ -62,7 +62,7 @@ def rl_left(f, a, alpha, x, *, quad_tol=QUAD_TOL):
     a = float(a)
     x = float(x)
     alpha = float(alpha)
-    check_ranges(("fractional order", alpha))
+    check_ranges(("fractional order", alpha), ("quad_tol", quad_tol))
     if not x > a:
         raise DomainError(f"rl_left requires x > a, got x={x}, a={a}")
     e = alpha - 1.0
@@ -74,7 +74,7 @@ def rl_right(f, b, alpha, x, *, quad_tol=QUAD_TOL):
     b = float(b)
     x = float(x)
     alpha = float(alpha)
-    check_ranges(("fractional order", alpha))
+    check_ranges(("fractional order", alpha), ("quad_tol", quad_tol))
     if not x < b:
         raise DomainError(f"rl_right requires x < b, got x={x}, b={b}")
     e = alpha - 1.0

@@ -7,9 +7,12 @@ powers -- whose derivatives are computed symbolically, so they are exact
 at any scale of the interval.
 
 f, f' and f'' of a parsed expression are the ``eval`` of its tree and of
-its two derivatives, with numpy's exp and log: a float t gives a float, an
-array t an array, and a constant a float either way (so does f'' of
-``exp(1)*t^2``), which the convexity gate broadcasts onto its grid.
+its two derivatives, with numpy's exp and log: a float t gives a builtin
+float (numpy's bits), an array t an array, and a constant a float either
+way (so does f'' of ``exp(1)*t^2``), which the convexity gate broadcasts
+onto its grid.  At a float t an integer power that overflows raises
+OverflowError and a division by zero ZeroDivisionError, as builtin floats
+do.
 ``diff`` shares subtrees, so a walk of f'' grows with the cube of a
 product's length; ``MAX_NODES`` and ``MAX_DEPTH`` bound the walk.
 
@@ -81,12 +84,19 @@ class _Pow:
         return _mul(_mul(_Const(self.n), _pow(self.base, self.n - 1)), self.base.diff())
 
 
+def _builtin(v):
+    """numpy's exp or log of a scalar as a builtin float with the same
+    bits, so the quadrature's sums over it run in builtin arithmetic; an
+    array passes through."""
+    return v if type(v) is np.ndarray else float(v)
+
+
 class _Exp:
     def __init__(self, arg):
         self.arg = arg
 
     def eval(self, t):
-        return np.exp(self.arg.eval(t))
+        return _builtin(np.exp(self.arg.eval(t)))
 
     def diff(self):
         return _mul(self, self.arg.diff())
@@ -97,7 +107,7 @@ class _Ln:
         self.arg = arg
 
     def eval(self, t):
-        return np.log(self.arg.eval(t))
+        return _builtin(np.log(self.arg.eval(t)))
 
     def diff(self):
         return _mul(_Inv(self.arg), self.arg.diff())
@@ -301,7 +311,11 @@ class TestFunction:
     def __post_init__(self):
         a, b = self.domain.a, self.domain.b
         for u in np.linspace(a + 0.07 * (b - a), b - 0.07 * (b - a), 7):
-            if not all(np.isfinite(g(u)) for g in (self.f, self.f1, self.f2)):
+            try:
+                finite = all(np.isfinite(g(u)) for g in (self.f, self.f1, self.f2))
+            except (OverflowError, ZeroDivisionError):  # builtin float arithmetic
+                finite = False
+            if not finite:
                 raise DomainError(f"{self.name}: non-finite value inside the domain at t={u:g}")
 
     @classmethod

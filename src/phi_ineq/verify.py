@@ -25,19 +25,19 @@ coefficient integrals of :mod:`phi_ineq.coefquad`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .bounds import (
     EvalParams,
-    coef_a1,
     f2_powers,
     fractional_sum,
     holder_rhs,
     identity_rhs,
     power_mean_rhs,
     s_functional,
+    t1_coefficients,
+    t2_coefficients,
 )
-from .coefquad import coef_integral
 from .convexity import PhiKernel, check_phi_convex
 from .errors import DomainError, PhiIneqError, check_ranges, range_violations
 from .functions import registry
@@ -158,6 +158,7 @@ def hermite_hadamard_check(fn, *, quad_tol=QUAD_TOL):
     a, b = fn.domain.a, fn.domain.b
     fields = (fn.name, "", "HH", a, b, None, None, None, None, None, None)
     try:
+        check_ranges(("quad_tol", quad_tol))
         witness = check_phi_convex(fn.f, PhiKernel.constant(), fn.domain)
         mid = float(fn.f(0.5 * a + 0.5 * b))
         res = integrate(fn.f, a, b, QuadratureSpec.for_quad_tol(quad_tol))
@@ -253,8 +254,9 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=MARGIN_TOL,
     The work is staged over per-run tables, dicts that live for this call:
     the gate witness per (kernel, q), J1+J2 per (x, alpha), S per (x,
     lambda, alpha), |f''|^q at x, a and b per (x, q), and per kernel the
-    coefficients (A1, A2, A3) per (alpha, lambda) and (B, M) per (alpha,
-    lambda, p).  Each report is assembled with the bound formulas of
+    coefficients (A1, A2, A3) of :func:`t1_coefficients` per (alpha,
+    lambda) and (B, M) of :func:`t2_coefficients` per (alpha, lambda, p).
+    Each report is assembled with the bound formulas of
     :mod:`phi_ineq.bounds`.
 
     A FAIL takes its lhs again from :func:`identity_rhs` at the same
@@ -298,17 +300,8 @@ def verify_grid(fn, kernels, qs, xs, lams, alphas, theorems, *, tol=MARGIN_TOL,
     for kernel in kernels:
         label = kernel.label
 
-        def t1_coefficients(alpha, lam):
-            a2 = coef_integral("A2", alpha, lam, kernel, quad_tol=quad_tol)
-            a3 = coef_integral("A3", alpha, lam, kernel, quad_tol=quad_tol)
-            return coef_a1(alpha, lam), a2, a3
-
-        def t2_coefficients(alpha, lam, p):
-            return (coef_integral("B", alpha, lam, p=p, quad_tol=quad_tol),
-                    coef_integral("M", 1.0, 0.0, kernel, quad_tol=quad_tol))
-
-        t1_coefs = _Table(t1_coefficients, failures)
-        t2_coefs = _Table(t2_coefficients, failures)
+        t1_coefs = _Table(partial(t1_coefficients, kernel=kernel, quad_tol=quad_tol), failures)
+        t2_coefs = _Table(partial(t2_coefficients, kernel=kernel, quad_tol=quad_tol), failures)
         for q in qs:
             row_theorems = [t for t in theorems if t == "T1" or q > 1.0]
             if not row_theorems:

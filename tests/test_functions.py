@@ -178,3 +178,22 @@ def test_a_line_break_in_an_expression_is_a_usage_error(capsys):
     assert capsys.readouterr() == ("", "usage error: cannot parse function expression "
                                        "'t^2\\n+ t': unexpected trailing input at position 3\n")
     assert main(["verify", "--fn", "t^2\t+ t"]) == 0
+
+
+def test_exp_and_ln_of_a_float_are_builtin_floats_with_numpy_bits():
+    # the quadrature's sums over an exp or ln integrand run in builtin
+    # float arithmetic; the bits are numpy's
+    fn = Fn.from_expression("exp(2*t) - ln(t+1)", Interval(0.0, 1.0))
+    for g, ref in ((fn.f, lambda t: np.exp(2 * t) - np.log(t + 1)),
+                   (fn.f2, lambda t: 4 * np.exp(2 * t) + 1 / (t + 1) ** 2)):
+        for t in (0.1, 0.37, 0.9):
+            assert type(g(t)) is float and g(t) == float(ref(t))
+    grid = np.linspace(0.0, 1.0, 5)
+    assert isinstance(fn.f(grid), np.ndarray)
+
+
+@pytest.mark.parametrize("source", ["(exp(exp(5)))^5", "exp(t)^2000"])
+def test_an_overflowing_builtin_power_is_non_finite(source):
+    # a builtin float power raises OverflowError where numpy's gave inf
+    with pytest.raises(DomainError, match="non-finite value inside the domain"):
+        Fn.from_expression(source, Interval(0.0, 1.0))

@@ -25,15 +25,15 @@ from phi_ineq.functions import registry
 from phi_ineq.verify import sweep, verify_point
 
 GOLDEN = {
-    "sweep": "358e26815506484d0eb59b7b3d49d92952413a3f549ace4e390bc7cd3ab97df5",
-    "sweep --format json": "85207c6ded71125500423f3476e35689eabf129b2ab7fffc5a0dd91705aa5cbb",
+    "sweep": "d813fc70cd4df0e4325460e4079a404f6454c6e83fbbc5f767fe1b523b48aed4",
+    "sweep --format json": "e0d68e60645557e569a0ee8aeedf51e6078b8d58c172b6b465df91c7bf28ca44",
     "coeffs": "7011c8b3d4d5e7d62278b4a806d0a77d2a8c20c075492142aad4d0db3430ec69",
     "coeffs --format json": "aee1d66b97a641dd470c87df8f1f354ec1be63087223ffc70411f71ae815873f",
     "selftest": "6de0f83c578f834ca0ba3c56d3a8a63985671bd7c588c852af167acd5ef02897",
     "verify --fn t^3 --preset c2":
-        "e890c3d9ee4fdfa8939a44570efcf66ba355e6f6afcd39ccd5e998fd931a768b",
+        "d9911d5bbeb42ff531b8ce00d2a148b46881fc1e56326f8f40d3e3306a9ac747",
     "verify --fn exp(t) --preset c5 --alpha 2.5 --q 3 --format json":
-        "0dead6d057e70e2e440abb9238b8ea6a83c255cca51a41d8c5bfd6e723346776",
+        "f94c376000178842f620d2054390a15b942a0cfe1975a5d42b262ebc765de42e",
     "verify --fn exp(t) --theorem hh --format json":
         "98d1908dcb602b277331b91ad89ae4cc772c9a1ad9ed93b3a2923ac53bf4aca6",
     "verify --fn=-ln(t) --theorem lemma1 --x 0.8 --lambda 0.7 --alpha 2.5 --format json":
@@ -77,8 +77,8 @@ LARGE_PLAN = {
     "q": [1.0, 1.5, 3.0],
 }
 LARGE_GOLDEN = {
-    "csv": "4f4738c8b472b565cea2947bf74651c653f62627a8135d1655dbcffa8cc10f39",
-    "json": "9d3bf6fa04cbef4fa83d4e75b5325777e5ecb0d9d1a47353c42d2a7c7536ebaf",
+    "csv": "261dc60b4c9c454c741605ae0819176c87b30453f92c6d1d9fef83899340505b",
+    "json": "47b4a8ae902cadba465ef6198263dffe44b2710fc04acab9e36c41cc6b5913fb",
 }
 
 
@@ -99,7 +99,7 @@ def test_large_sweep_digests(tmp_path):
 # random (x, lambda, alpha), alpha in [0.3, 3]: points off the integer and
 # half-integer alphas of the plans above.
 CONTINUOUS_CELLS = ((1.0, "T1"), (1.5, "T1"), (1.5, "T2"), (3.0, "T1"), (3.0, "T2"))
-CONTINUOUS_GOLDEN = "0c8b5e23c318b005a8c46d20f2ab47e3fbcd613fe769f4d50ca821e5020a2cf9"
+CONTINUOUS_GOLDEN = "ee3d4a46a82229206f3d4ff2854452867c3eceacc83a2b396eab153a55a325cb"
 
 
 def test_continuous_parameter_battery_digest():

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from phi_ineq import EvalParams, coef_integral, registry
+from phi_ineq.bounds import identity_rhs, theorem1_bound, theorem2_bound
 from phi_ineq.cli import parse_config
 from phi_ineq.convexity import PhiKernel
 from phi_ineq.errors import DomainError, UsageError, range_violations
@@ -30,6 +31,7 @@ FLAGS = {"lambda": "--lambda", "alpha": "--alpha", "q": "--q", "tol": "--tol",
 EMPTY_PLAN = SweepPlan((), (PhiKernel.constant(),), (0.5,), (0.0,), (1.0,), (1.0,))
 T2 = registry()["t^2"]
 POINT = {"lambda": 0.0, "alpha": 1.0, "q": 1.0}
+KERNELS = (PhiKernel.constant(), PhiKernel.power(0.5), PhiKernel.mt())
 
 
 def _grid(lam=0.0, alpha=1.0, q=1.0, **settings):
@@ -54,6 +56,20 @@ def _entry_points(name, value):
     setting = {name: value}
     params = EvalParams(T2.domain, x=0.5, lam=0.0, alpha=1.0)
     yield "verify_grid", lambda: _grid(**setting), name
+    if name == "quad_tol":
+        # every function below the verifier that takes quad_tol; the constant
+        # kernel's T1 coefficients are closed forms and read no quad_tol
+        kw = {"quad_tol": value}
+        yield "coef_integral", lambda: coef_integral("A1", 1.0, 0.5, **kw), name
+        yield "rl_left", lambda: rl_left(T2.f, 0.0, 1.5, 1.0, **kw), name
+        yield "rl_right", lambda: rl_right(T2.f, 1.0, 1.5, 0.0, **kw), name
+        yield "identity_rhs", lambda: identity_rhs(T2, params, **kw), name
+        for kernel in KERNELS:
+            yield (f"theorem1_bound {kernel.label}",
+                   lambda kernel=kernel: theorem1_bound(T2, params, kernel, **kw), name)
+            yield (f"theorem2_bound {kernel.label}",
+                   lambda kernel=kernel: theorem2_bound(T2, replace(params, q=2.0), kernel, **kw),
+                   name)
     yield "verify_point", lambda: verify_point(T2, params, PhiKernel.constant(), "T1",
                                                **setting), name
     yield "sweep", lambda: sweep(replace(EMPTY_PLAN, function_names=("t^2",)), **setting), name

@@ -364,7 +364,9 @@ def test_gate_failure_leaves_p_empty():
 ])
 def test_error_names_first_failure_in_bound_order(monkeypatch, theorem, failing, first):
     # the grid computes coefficients and |f''|^q in tables of their own;
-    # its ERROR message must still be the failure the bound meets first
+    # its ERROR message must still be the failure the bound meets first.
+    # A2 and A3 are closed forms under the constant kernel, quadratures under MT
+    kernel = PhiKernel.mt() if {"A2", "A3"} & set(failing) else CONST
     real = {name: getattr(bounds, name) for name in ("coef_integral", "f2_powers")}
     label = {"coef_integral": lambda args: args[0], "f2_powers": lambda args: "f2_powers"}
 
@@ -375,14 +377,28 @@ def test_error_names_first_failure_in_bound_order(monkeypatch, theorem, failing,
             return real[name](*args, **kwargs)
         return call
 
-    for name in real:
-        for module in (bounds, verify):
+    # the coefficients come from bounds, |f''|^q also from verify's import
+    for name, modules in (("coef_integral", (bounds,)), ("f2_powers", (bounds, verify))):
+        for module in modules:
             monkeypatch.setattr(module, name, guarded(name))
     fn = registry()["t^2"]
     p = params(fn, lam=0.5, alpha=1.5, q=2.0)
-    got = verify_point(fn, p, CONST, theorem)
+    got = verify_point(fn, p, kernel, theorem)
     assert got.status == "ERROR" and got.message == f"{first} failed"
-    assert repr(got) == repr(_reference_point(fn, p, CONST, theorem))
+    assert repr(got) == repr(_reference_point(fn, p, kernel, theorem))
+
+
+def test_a_constant_kernel_t1_row_calls_no_quadrature_coefficient(monkeypatch):
+    # A1, A2 and A3 are closed-form under the constant kernel
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"coef_integral{args} called")
+
+    monkeypatch.setattr(bounds, "coef_integral", refuse)
+    fn = registry()["t^3"]
+    for q in (1.0, 2.0):
+        got = verify_point(fn, params(fn, lam=0.3, alpha=0.7, q=q), CONST, "T1")
+        assert got.status == "PASS"
+        assert theorem1_bound(fn, params(fn, lam=0.3, alpha=0.7, q=q), CONST) == got.rhs
 
 
 def test_every_check_takes_its_verdict_from_one_rule(monkeypatch):
@@ -427,12 +443,12 @@ def test_settings_the_cli_rejects_raise(setting, message):
 
 
 def test_checks_at_an_infinite_quad_tol_are_errors():
-    # the identity and Hermite-Hadamard checks build their own specs
+    # the identity and Hermite-Hadamard checks name quad_tol as the table does
     fn = registry()["t^2"]
     for r in (identity_check(fn, params(fn, lam=0.5), quad_tol=math.inf),
               hermite_hadamard_check(fn, quad_tol=math.inf)):
         assert r.status == "ERROR"
-        assert r.message == "abs_tol and rel_tol must be positive and finite"
+        assert r.message == "quad_tol must be positive and finite, got inf"
 
 
 def test_infinite_q_raises():
