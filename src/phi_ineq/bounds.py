@@ -1,6 +1,6 @@
 """The quadrature-difference functional S, its integral identity, the
-closed form of A1, the printed closed-form coefficients and the two
-theorem bounds.
+theorem bounds and their coefficients, and the printed closed-form
+coefficients.
 
 For a twice-differentiable f on [a, b], x in [a, b], lam in [0, 1] and
 alpha > 0 the functional is
@@ -20,14 +20,14 @@ certifies numerically.
 
 The theorem bounds read their coefficients from :func:`t1_coefficients`
 (A1, A2, A3) and :func:`t2_coefficients` (B, M).  A1, the T1 prefactor's
-base, has the closed form :func:`coef_a1`; A2 under the constant and
-power(s) kernels and A3 under the constant kernel have the closed forms
-of :func:`_moment` and :func:`_a3_constant`.  A3 under power(s), A2 and
-A3 under MT and B need incomplete Betas and come from the quadrature of
-:func:`phi_ineq.coefquad.coef_integral`, as does M, a few integrals per
-process.  ``coef_integral`` also stays the oracle of every family for the
-ledger, the selftest and the tests.  The printed closed forms (A2C, A3C, A4, A5, B_closed, C1, C2)
-are evaluated by :func:`printed_coefficient` exactly as written, for the
+base, A2 under the constant and power(s) kernels and A3 under the
+constant kernel have the closed forms of :func:`_moment` and
+:func:`_a3_constant`, and M = int_0^1 t*phi(t) dt is 1/2, 1/(s+1) or
+pi/4.  A3 under power(s), A2 and A3 under MT and B need incomplete Betas
+and come from the quadrature of :func:`phi_ineq.coefquad.coef_integral`,
+the oracle of every family for the ledger, the selftest and the tests.
+The printed closed forms (A2C, A3C, A4, A5, B_closed, C1, C2) are
+evaluated by :func:`printed_coefficient` exactly as written, for the
 discrepancy ledger only -- several of them fail sanity checks at lam in
 {0, 1} -- and never feed a bound.
 """
@@ -124,16 +124,6 @@ def identity_rhs(fn, params, *, quad_tol=QUAD_TOL):
     return total
 
 
-def coef_a1(alpha, lam):
-    """Closed form of A1 = int_0^1 |t*(lam - t**alpha)| dt:
-    (alpha*lam**(1 + 2/alpha) + 1)/(alpha + 2) - lam/2."""
-    alpha = float(alpha)
-    lam = float(lam)
-    check_ranges(("alpha", alpha), ("lambda", lam))
-    lam_pow = lam ** (1.0 + 2.0 / alpha) if lam > 0.0 else 0.0
-    return (alpha * lam_pow + 1.0) / (alpha + 2.0) - 0.5 * lam
-
-
 def _moment(k, alpha, lam):
     """int_0^1 |t*(lam - t**alpha)| * t**k dt in closed form, k > -2: with
     kappa = k + 2 and mu = lam**(kappa/alpha), the kink m = lam**(1/alpha)
@@ -162,13 +152,13 @@ def _a3_constant(alpha, lam):
 
 def t1_coefficients(alpha, lam, kernel, *, quad_tol=QUAD_TOL):
     """(A1, A2, A3) of the T1 bound under ``kernel``.  A1 is
-    :func:`coef_a1`.  A2 is closed-form under the constant and power(s)
-    kernels (:func:`_moment`, as t*phi(t) is t or t**s), and A3 under the
-    constant kernel (:func:`_a3_constant`).  A3 under power(s), and A2 and
-    A3 under MT, need incomplete Betas and come from
+    :func:`_moment` at k = 0, and so is A2 at k = 1 under the constant
+    kernel and at k = s under power(s) (t*phi(t) is t or t**s); A3 under
+    the constant kernel is :func:`_a3_constant`.  A3 under power(s), and
+    A2 and A3 under MT, need incomplete Betas and come from
     :func:`~phi_ineq.coefquad.coef_integral`, A2 first."""
-    check_ranges(("quad_tol", quad_tol))
-    a1 = coef_a1(alpha, lam)
+    check_ranges(("alpha", alpha), ("lambda", lam), ("quad_tol", quad_tol))
+    a1 = _moment(0.0, alpha, lam)
     if kernel.kind == KIND_MT:
         a2 = coef_integral("A2", alpha, lam, kernel, quad_tol=quad_tol)
     else:
@@ -202,24 +192,27 @@ def f2_powers(fn, a, b, x, q):
 
 
 def power_mean_rhs(a, b, x, alpha, q, coefs, powers):
-    """The T1 bound from its coefficients ``(A1, A2, A3)`` (A1 is read
-    only when q != 1) and the :func:`f2_powers` at x."""
+    """The T1 bound from its coefficients ``(A1, A2, A3)`` and the
+    :func:`f2_powers` at x; at q = 1 the prefactor A1**0.0 is exactly 1."""
     a1, a2, a3 = coefs
     fx, fa, fb = powers
     w = b - a
     term_a = (x - a) ** (alpha + 2.0) / w * (a2 * fx + a3 * fa) ** (1.0 / q)
     term_b = (b - x) ** (alpha + 2.0) / w * (a2 * fx + a3 * fb) ** (1.0 / q)
-    prefactor = 1.0 if q == 1.0 else a1 ** (1.0 - 1.0 / q)
-    return prefactor * (term_a + term_b)
+    return a1 ** (1.0 - 1.0 / q) * (term_a + term_b)
 
 
 def t2_coefficients(alpha, lam, p, kernel, *, quad_tol=QUAD_TOL):
-    """(B, M) of the T2 bound at the Holder exponent p, B first, both from
-    :func:`~phi_ineq.coefquad.coef_integral`: B over [0, 1] is the sum of
-    its pieces either side of the kink, and M, one integral per kernel
-    (270 evaluations in a points-scatter process), stays a quadrature."""
-    return (coef_integral("B", alpha, lam, p=p, quad_tol=quad_tol),
-            coef_integral("M", 1.0, 0.0, kernel, quad_tol=quad_tol))
+    """(B, M) of the T2 bound at the Holder exponent p.  B comes from
+    :func:`~phi_ineq.coefquad.coef_integral`, as the sum of its pieces
+    either side of the kink; M = int_0^1 t*phi(t) dt is 1/2 under the
+    constant kernel, 1/(s+1) under power(s) and pi/4 under MT."""
+    b_val = coef_integral("B", alpha, lam, p=p, quad_tol=quad_tol)
+    if kernel.kind == KIND_CONSTANT:
+        return b_val, 0.5
+    if kernel.kind == KIND_MT:
+        return b_val, math.pi / 4.0
+    return b_val, 1.0 / (kernel.s + 1.0)
 
 
 def theorem2_bound(fn, params, kernel, *, quad_tol=QUAD_TOL):

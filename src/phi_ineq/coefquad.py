@@ -1,23 +1,23 @@
 """Coefficient-family integrals on the adaptive Gauss-Kronrod engine.
 
-Every bound coefficient is an integral over (a sub-range of) [0, 1] of
-one of five integrand families built from ``base(t) = t*(lam - t**alpha)``:
+Every bound coefficient but the weight moment M is an integral over (a
+sub-range of) [0, 1] of one of four integrand families built from
+``base(t) = t*(lam - t**alpha)``:
 
     A1:  |base(t)|
     A2:  |base(t)| * t * phi(t)
     A3:  |base(t)| * (1-t) * phi(1-t)
     B:   |base(t)| ** p
-    M:   t * phi(t)
 
 :func:`coef_integral` is the only way to ask for one.  The theorem
 bounds and the per-run tables of :func:`phi_ineq.verify.verify_grid` ask
 through :func:`phi_ineq.bounds.t1_coefficients` and
-:func:`~phi_ineq.bounds.t2_coefficients`, which take A2 under the constant
-and power(s) kernels and A3 under the constant kernel from closed forms
-instead; the discrepancy ledger (which also asks for B on [0, m] and
-[m, 1], the C1/C2 split at the kink m), the selftest and the tests ask
-for every family here.  M does not depend on
-(alpha, lam); callers pass (1.0, 0.0).  Each family is handed to
+:func:`~phi_ineq.bounds.t2_coefficients`, which take A1, A2 under the
+constant and power(s) kernels, A3 under the constant kernel and
+M = int_0^1 t*phi(t) dt from closed forms instead; the
+discrepancy ledger (which also asks for B on [0, m] and [m, 1], the
+C1/C2 split at the kink m), the selftest and the tests ask for every
+family here.  Each family is handed to
 :func:`phi_ineq.quadrature.integrate` under the spec of ``quad_tol``
 (:meth:`~phi_ineq.quadrature.QuadratureSpec.for_quad_tol`), with the kink
 of ``|base|`` at ``lam**(1/alpha)`` (:func:`kink`) as a split point and
@@ -37,8 +37,6 @@ the kink:
     A3      MT        -1/2                            1/2 (3/2 at lam=1)
     B       -         p; p + alpha for an integer p;  p at lam=1 or at m
                       p*(alpha + 1) at lam=0; p at m
-    M       power(s)  s                               0
-    M       MT        1/2                             -1/2
 
 B over a range with the kink strictly inside is the sum of its two
 cached pieces either side of the kink, where the table above declares p
@@ -55,10 +53,10 @@ weight's -1/2 although ``|base|`` lifts the integrand there to
 grading would not.
 
 The process-wide cache on :func:`_cached` answers the repeats the
-callers' keys leave (B is the same for every kernel, M for every
-(alpha, lam, p)) and the repeats across calls: ``verify_point`` is a
-one-point grid whose tables die with it, and the ledger and the selftest
-ask for the same integrals again.
+callers' keys leave (B is the same for every kernel) and the repeats
+across calls: the tables of :func:`~phi_ineq.verify.verify_grid` live
+for one function of a sweep, and the ledger and the selftest ask for the
+same integrals again.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ from .convexity import KIND_CONSTANT, KIND_MT, phi_function
 from .errors import DomainError, check_ranges
 from .quadrature import QUAD_TOL, QuadratureSpec, integrate
 
-FAMILIES = ("A1", "A2", "A3", "B", "M")
+FAMILIES = ("A1", "A2", "A3", "B")
 
 
 def kink(alpha, lam):
@@ -92,9 +90,7 @@ def _integrand(family, alpha, lam, kernel, p):
     phi = phi_function(kernel)
     if family == "A2":
         return lambda t: abs(t * (lam - t ** alpha)) * t * phi(t)
-    if family == "A3":
-        return lambda t: abs(t * (lam - t ** alpha)) * (1.0 - t) * phi(1.0 - t)
-    return lambda t: t * phi(t)  # M
+    return lambda t: abs(t * (lam - t ** alpha)) * (1.0 - t) * phi(1.0 - t)
 
 
 def _validate(family, alpha, lam, kernel, p, lo, hi, quad_tol):
@@ -103,7 +99,7 @@ def _validate(family, alpha, lam, kernel, p, lo, hi, quad_tol):
     check_ranges(("alpha", alpha), ("lambda", lam), ("quad_tol", quad_tol))
     if family == "B" and not p > 0.0:
         raise DomainError(f"family B needs a positive exponent p, got {p}")
-    if family in ("A2", "A3", "M") and kernel is None:
+    if family in ("A2", "A3") and kernel is None:
         raise DomainError(f"family {family} needs a weight kernel")
     if not 0.0 <= lo < hi <= 1.0:
         raise DomainError(f"family integrals live on sub-ranges of [0, 1], got [{lo}, {hi}]")
@@ -135,18 +131,20 @@ def _end_exponents(family, alpha, lam, kernel, p, lo, hi):
             right = w + (1.0 if lam == 1.0 else 0.0)
         return left, right
     if lo == 0.0:
-        left = w if family == "M" else w + (1.0 if lam > 0.0 else alpha + 1.0)
+        left = w + (1.0 if lam > 0.0 else alpha + 1.0)
     if hi == 1.0 and mt:
         right = -0.5
     return left, right
 
 
-# Kept across calls: one process of the points-scatter benchmark makes
-# 1,029 verify_point calls whose 441 T2 points need only 3 distinct M (one
-# per kernel); 438 of its 1,470 coefficient calls are answered here.
+# Kept across calls: verify_grid's tables live for one function, and the
+# 20,790-point plan's grids of 7 functions ask for the same B and the same
+# MT and power(s) coefficients, so the sweep-dense benchmark (seed 7) makes
+# 4,158 coef_integral calls over 330 distinct keys.  The ledger's B, C1 and
+# C2 share B's two pieces either side of the kink.
 @lru_cache(maxsize=16384)
 def _cached(family, alpha, lam, kernel, p, lo, hi, quad_tol):
-    splits = () if family == "M" else kink_splits(alpha, lam, lo, hi)
+    splits = kink_splits(alpha, lam, lo, hi)
     if family == "B" and splits:
         (m,) = splits
         return (_cached(family, alpha, lam, kernel, p, lo, m, quad_tol)
@@ -160,7 +158,7 @@ def _cached(family, alpha, lam, kernel, p, lo, hi, quad_tol):
 
 def coef_integral(family, alpha, lam, kernel=None, *, p=1.0, lo=0.0, hi=1.0, quad_tol=QUAD_TOL):
     """Adaptive quadrature value of one coefficient-family integral over
-    [lo, hi]; A2, A3 and M need a kernel, B a positive exponent p."""
+    [lo, hi]; A2 and A3 need a kernel, B a positive exponent p."""
     alpha = float(alpha)
     lam = float(lam)
     p = float(p)

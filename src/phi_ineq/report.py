@@ -1,12 +1,16 @@
 """Discrepancy ledger: every printed closed-form coefficient compared
 against its quadrature oracle over a parameter grid.
 
-The oracles come from :func:`phi_ineq.coefquad.coef_integral`, the same
-function the theorem bounds consume, so the ledger and the bounds cannot
-drift apart.  A printed form that requests an undefined quantity (the
-complete Beta with a negative second parameter, as B_closed and C2 do) is
-recorded as PRINTED_UNDEFINED rather than an error: that a formula cannot
-be evaluated as written is itself the finding.
+The oracles come from :func:`phi_ineq.coefquad.coef_integral`.  The
+theorem bounds read that function only for the coefficients without an
+elementary closed form (A3 under power(s), A2 and A3 under MT, and B);
+the closed forms they take instead are tied to the oracles by
+``tests/test_closed_forms.py`` and by the selftest's A1 residual, which
+compares the bounds' A1 with ``coef_integral("A1", ...)``.  A printed
+form that requests an undefined quantity (the complete Beta with a
+negative second parameter, as B_closed and C2 do) is recorded as
+PRINTED_UNDEFINED rather than an error: that a formula cannot be
+evaluated as written is itself the finding.
 """
 
 from __future__ import annotations

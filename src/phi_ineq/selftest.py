@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 
-from .bounds import EvalParams, coef_a1
+from .bounds import EvalParams, t1_coefficients
 from .coefquad import coef_integral
 from .convexity import PhiKernel
 from .fracint import rl_left, rl_right
@@ -143,7 +143,7 @@ def section_coefficient_grid():
     worst_id = 0.0
     for alpha in COEFF_GRID_ALPHAS:
         for lam in COEFF_GRID_LAMS:
-            a1c = coef_a1(alpha, lam)
+            a1c = t1_coefficients(alpha, lam, k)[0]
             a1o = coef_integral("A1", alpha, lam)
             worst_a1 = max(worst_a1, abs(a1c - a1o))
             a2 = coef_integral("A2", alpha, lam, k)

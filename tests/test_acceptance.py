@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from phi_ineq.bounds import coef_a1
+from phi_ineq.bounds import t1_coefficients
 from phi_ineq.cli import main
 from phi_ineq.coefquad import coef_integral
 from phi_ineq.convexity import PhiKernel
@@ -58,7 +58,7 @@ def test_c3_coefficient_oracles():
     for alpha in (0.5, 1.0, 2.0, 3.5):
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
             a1o = coef_integral("A1", alpha, lam)
-            worst_a1 = max(worst_a1, abs(coef_a1(alpha, lam) - a1o))
+            worst_a1 = max(worst_a1, abs(t1_coefficients(alpha, lam, CONST)[0] - a1o))
             a2 = coef_integral("A2", alpha, lam, CONST)
             a3 = coef_integral("A3", alpha, lam, CONST)
             worst_identity = max(worst_identity, abs(a3 - (a1o - a2)))

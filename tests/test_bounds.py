@@ -9,12 +9,13 @@ import pytest
 
 from phi_ineq.bounds import (
     EvalParams,
-    coef_a1,
     f2_powers,
     holder_rhs,
     identity_rhs,
     printed_coefficient,
     s_functional,
+    t1_coefficients,
+    t2_coefficients,
     theorem1_bound,
     theorem2_bound,
 )
@@ -92,16 +93,19 @@ class TestIdentityRhs:
 
 class TestCoefficients:
     def test_a1_closed_values(self):
-        assert coef_a1(1.0, 0.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert coef_a1(1.0, 1.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
-        assert coef_a1(2.0, 1.0) == pytest.approx(0.25, abs=1e-15)
-        with pytest.raises(DomainError, match="alpha must be positive and finite"):
-            coef_a1(math.inf, 0.5)  # was nan
+        # the bounds' A1, the closed form of every kernel
+        for kernel in (CONST, PhiKernel.power(0.5), MT):
+            a1 = lambda alpha, lam: t1_coefficients(alpha, lam, kernel)[0]
+            assert a1(1.0, 0.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
+            assert a1(1.0, 1.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
+            assert a1(2.0, 1.0) == pytest.approx(0.25, abs=1e-15)
+            with pytest.raises(DomainError, match="alpha must be positive and finite"):
+                a1(math.inf, 0.5)  # was nan
 
     def test_a1_closed_matches_oracle_on_grid(self):
         for alpha in GRID_ALPHAS:
             for lam in GRID_LAMS:
-                assert coef_a1(alpha, lam) == pytest.approx(
+                assert t1_coefficients(alpha, lam, CONST)[0] == pytest.approx(
                     coef_integral("A1", alpha, lam), abs=1e-10)
 
     def test_weighted_values(self):
@@ -135,10 +139,12 @@ class TestCoefficients:
                 assert total == pytest.approx(c1 + c2, abs=1e-10)
 
     def test_weight_moments(self):
-        assert coef_integral("M", 1.0, 0.0, CONST) == pytest.approx(0.5, abs=1e-12)
-        assert coef_integral("M", 1.0, 0.0, PhiKernel.power(0.5)) == pytest.approx(
-            2.0 / 3.0, abs=1e-12)
-        assert coef_integral("M", 1.0, 0.0, MT) == pytest.approx(math.pi / 4.0, abs=1e-12)
+        # M = int t*phi(t) dt does not depend on (alpha, lam, p)
+        for alpha, lam, p in ((1.0, 0.0, 2.0), (0.3, 0.7, 1.5)):
+            m = lambda kernel: t2_coefficients(alpha, lam, p, kernel)[1]
+            assert m(CONST) == 0.5
+            assert m(PhiKernel.power(0.5)) == pytest.approx(2.0 / 3.0, rel=2e-16)
+            assert m(MT) == pytest.approx(math.pi / 4.0, rel=2e-16)
 
     def test_oracles_nonnegative(self):
         for alpha in GRID_ALPHAS:
@@ -207,7 +213,7 @@ class TestTheorem2:
         # q = 3 gives p = 3/2 in B and in the prefactor's root
         fn = registry()["exp(t)"]
         x, lam, alpha, q = 0.3, 0.4, 1.7, 3.0
-        coefs = (coef_integral("B", alpha, lam, p=1.5), coef_integral("M", 1.0, 0.0, MT))
+        coefs = (coef_integral("B", alpha, lam, p=1.5), math.pi / 4.0)
         want = holder_rhs(0.0, 1.0, x, alpha, q, 1.5, coefs, f2_powers(fn, 0.0, 1.0, x, q))
         got = theorem2_bound(fn, params(x=x, lam=lam, alpha=alpha, q=q), MT)
         assert got == pytest.approx(want, rel=1e-14)

@@ -1,6 +1,6 @@
 """The closed-form T1 coefficients and the kink-split B against mpmath.
 
-A2 under the constant and power(s) kernels and A3 under the constant
+A1, A2 under the constant and power(s) kernels and A3 under the constant
 kernel are elementary: the integral of |t*(lam - t**alpha)| * t**k over
 [0, 1] is 2*F(m) - F(1) with F(t) = lam*t**(k+2)/(k+2) -
 t**(alpha+k+2)/(alpha+k+2) and m = lam**(1/alpha) the kink, evaluated here
@@ -18,9 +18,10 @@ read 8.7e-15; both lie inside the engine's max(0.1*quad_tol,
 
 import pytest
 
-from phi_ineq.bounds import t1_coefficients
+from phi_ineq.bounds import EvalParams, t1_coefficients, theorem1_bound
 from phi_ineq.coefquad import coef_integral
 from phi_ineq.convexity import PhiKernel
+from phi_ineq.functions import registry
 from phi_ineq.quadrature import QUAD_TOL
 
 mp = pytest.importorskip("mpmath").mp
@@ -69,6 +70,27 @@ def test_closed_forms_within_a_few_eps(alpha):
             # t * phi(t) = t**s under power(s)
             _, a2, _ = t1_coefficients(alpha, lam, PhiKernel.power(s))
             assert _rel(a2, _moment(s, alpha, lam)) <= 6 * EPS, (f"A2 power({s})", lam)
+
+
+@pytest.mark.parametrize("alpha", (1e-9, 1e-6, 1e-3))
+def test_a1_at_lambda_one_and_a_small_alpha(alpha):
+    # A1 = alpha/(2*(alpha + 2)) there; A1 as (alpha*lam**(1 + 2/alpha) +
+    # 1)/(alpha + 2) - lam/2 cancelled to 8.3e-8 relative at alpha 1e-9
+    for kernel in (CONST, PhiKernel.power(0.5), PhiKernel.mt()):
+        a1 = t1_coefficients(alpha, 1.0, kernel)[0]
+        assert _rel(a1, _moment(0.0, alpha, 1.0)) <= 2 * EPS
+
+
+def test_t1_bound_at_lambda_one_and_a_tiny_alpha():
+    # t^2 on [0, 1] at x = 1/2: A2 + A3 = A1 under the constant kernel, so
+    # the bound is 0.5**alpha * A1; it read 4.2e-8 relative off
+    alpha = 1e-9
+    fn = registry()["t^2"]
+    params = EvalParams(fn.domain, x=0.5, lam=1.0, alpha=alpha, q=2.0)
+    got = theorem1_bound(fn, params, CONST)
+    with mp.workdps(50):
+        want = mp.mpf(0.5) ** mp.mpf(alpha) * _moment(0.0, alpha, 1.0)
+    assert _rel(got, want) <= 4 * EPS
 
 
 @pytest.mark.parametrize("alpha", (1e200, 1e300))

@@ -3,8 +3,8 @@
 verify commands that reach every theorem, kernel and preset, in both
 formats where there are two.  The ledger and one verify command per
 theorem also run at ``--quad-tol 1e-9``, where their bytes differ from
-those at the default 1e-12, so a tolerance lost on its way to an
-integral shows.  A battery of 105 verify_point calls at seeded
+those at the default 1e-12 (checked below), so a tolerance lost on its
+way to an integral shows.  A battery of 105 verify_point calls at seeded
 non-integer alpha covers the continuous parameters the plans skip.
 
 Same-process reruns are checked for byte-identity elsewhere; these digests
@@ -25,11 +25,11 @@ from phi_ineq.functions import registry
 from phi_ineq.verify import sweep, verify_point
 
 GOLDEN = {
-    "sweep": "d813fc70cd4df0e4325460e4079a404f6454c6e83fbbc5f767fe1b523b48aed4",
-    "sweep --format json": "e0d68e60645557e569a0ee8aeedf51e6078b8d58c172b6b465df91c7bf28ca44",
+    "sweep": "05d37fc38647b3ed6e27c8865dc01fb5904cb74daf602dce0b327e5ee45f4f79",
+    "sweep --format json": "a8849bb6b09a474cc7c7769ab0c16ef3e660828fa98c7fe1bd3763fd361504ea",
     "coeffs": "7011c8b3d4d5e7d62278b4a806d0a77d2a8c20c075492142aad4d0db3430ec69",
     "coeffs --format json": "aee1d66b97a641dd470c87df8f1f354ec1be63087223ffc70411f71ae815873f",
-    "selftest": "6de0f83c578f834ca0ba3c56d3a8a63985671bd7c588c852af167acd5ef02897",
+    "selftest": "013d3df171879849ce2efa67f0f53a2953ba35d439425d9ec007c2e839ef8e68",
     "verify --fn t^3 --preset c2":
         "d9911d5bbeb42ff531b8ce00d2a148b46881fc1e56326f8f40d3e3306a9ac747",
     "verify --fn exp(t) --preset c5 --alpha 2.5 --q 3 --format json":
@@ -39,7 +39,7 @@ GOLDEN = {
     "verify --fn=-ln(t) --theorem lemma1 --x 0.8 --lambda 0.7 --alpha 2.5 --format json":
         "89899914562e5cf7423abda28efbeba4e2467a33268c6a0586898e6fb7e44f96",
     "verify --fn t^2 --theorem t2 --q 2 --kernel mt --format json":
-        "40bf06ac2a12bc74fdd685eb6a8836023bb8e1d6e22d44a7f13c8bf7436845b8",
+        "b57e88771fdc2c4652274f3c98d209ccb381ff012293a2c2b3105abd6fd3f300",
     "verify --fn=2*t^4-t --kernel power --s 0.5 --q 1.5 --x 0.3 --lambda 0.4 --alpha 0.7":
         "70cc001f349687fee178236a20ddae09ef7df6b96e8bddf6384d418623265189",
     "coeffs --quad-tol 1e-9":
@@ -47,8 +47,9 @@ GOLDEN = {
     "verify --fn=2*t^4-t --kernel power --s 0.5 --q 1.5 --x 0.3 --lambda 0.4 --alpha 0.7 "
     "--quad-tol 1e-9":
         "0bb41915cc2fff0f9a7677a0f2707f083ec447007fdea75cee7413072c92f2c9",
-    "verify --fn t^2 --theorem t2 --q 2 --kernel mt --format json --quad-tol 1e-9":
-        "a38a031c4d7694866d436e954231e4c18ffbc8405b5cac8509d0a650c15e0bd7",
+    "verify --fn t^2 --theorem t2 --q 3 --lambda 0.5 --alpha 1.5 --kernel mt --format json "
+    "--quad-tol 1e-9":
+        "872957b71073d7bae6d5904ff851cba807d1d17198ad259146981800daf16c9d",
     "verify --fn=-ln(t) --theorem lemma1 --x 0.8 --lambda 0.7 --alpha 2.5 --format json "
     "--quad-tol 1e-9":
         "10944670d5458397f01c1d936c67836b7a8bcffb04d231d9aa8fe3e67d1ed10a",
@@ -65,6 +66,18 @@ def test_stdout_digest(command, capsys):
     assert digest == GOLDEN[command], f"stdout of `phi-ineq {command}` drifted"
 
 
+LOOSE_TOL = " --quad-tol 1e-9"
+
+
+@pytest.mark.parametrize("command", sorted(c for c in GOLDEN if c.endswith(LOOSE_TOL)))
+def test_a_looser_quad_tol_changes_the_bytes(command, capsys):
+    outputs = []
+    for argv in (command, command[:-len(LOOSE_TOL)]):
+        assert main(argv.split()) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] != outputs[1], f"`phi-ineq {command}` prints the default's bytes"
+
+
 # The 20,790-point plan: 7 functions x 3 kernels x 3 x x 11 lambda x
 # 6 alpha x q in {1, 1.5, 3}, T1 at every q and T2 where q > 1.  Reports
 # are sorted, so the digests do not depend on the order of the axes.
@@ -77,8 +90,8 @@ LARGE_PLAN = {
     "q": [1.0, 1.5, 3.0],
 }
 LARGE_GOLDEN = {
-    "csv": "261dc60b4c9c454c741605ae0819176c87b30453f92c6d1d9fef83899340505b",
-    "json": "47b4a8ae902cadba465ef6198263dffe44b2710fc04acab9e36c41cc6b5913fb",
+    "csv": "64686eb1dd6cd3f951ec3151f792a2cd87a32ff0e544736bbbe6ba639102e35e",
+    "json": "043550fcde52d7a32f1adfacffd2d210d16bb8be92e0c15c54bc0d0a35c4758c",
 }
 
 
@@ -99,7 +112,7 @@ def test_large_sweep_digests(tmp_path):
 # random (x, lambda, alpha), alpha in [0.3, 3]: points off the integer and
 # half-integer alphas of the plans above.
 CONTINUOUS_CELLS = ((1.0, "T1"), (1.5, "T1"), (1.5, "T2"), (3.0, "T1"), (3.0, "T2"))
-CONTINUOUS_GOLDEN = "ee3d4a46a82229206f3d4ff2854452867c3eceacc83a2b396eab153a55a325cb"
+CONTINUOUS_GOLDEN = "ee087e8456497e40022e83c974059fdf38cb75172a6b802954e04d674c00130a"
 
 
 def test_continuous_parameter_battery_digest():

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from phi_ineq import EvalParams, coef_integral, registry
-from phi_ineq.bounds import identity_rhs, theorem1_bound, theorem2_bound
+from phi_ineq.bounds import identity_rhs, t1_coefficients, theorem1_bound, theorem2_bound
 from phi_ineq.cli import parse_config
 from phi_ineq.convexity import PhiKernel
 from phi_ineq.errors import DomainError, UsageError, range_violations
@@ -49,6 +49,9 @@ def _entry_points(name, value):
         yield "verify_grid", lambda: _grid(lam, alpha, q), name
         if name != "q":
             yield "coef_integral", lambda: coef_integral("A1", alpha, lam), name
+            # the constant kernel's coefficients are all closed forms
+            yield ("t1_coefficients",
+                   lambda: t1_coefficients(alpha, lam, PhiKernel.constant()), name)
         if name == "alpha":
             yield "rl_left", lambda: rl_left(T2.f, 0.0, value, 1.0), "fractional order"
             yield "rl_right", lambda: rl_right(T2.f, 1.0, value, 0.0), "fractional order"

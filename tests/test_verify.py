@@ -359,8 +359,8 @@ def test_gate_failure_leaves_p_empty():
     ("T1", ("A3", "f2_powers"), "A3"),
     ("T1", ("A2", "A3"), "A2"),
     ("T1", ("f2_powers",), "f2_powers"),
-    ("T2", ("B", "M"), "B"),
-    ("T2", ("M", "f2_powers"), "M"),
+    ("T2", ("B", "f2_powers"), "B"),
+    ("T2", ("f2_powers",), "f2_powers"),
 ])
 def test_error_names_first_failure_in_bound_order(monkeypatch, theorem, failing, first):
     # the grid computes coefficients and |f''|^q in tables of their own;
