@@ -9,7 +9,7 @@ use; everything else is imported from its module:
   and declared endpoint singularities
 * :mod:`phi_ineq.fracint` -- Riemann-Liouville fractional integrals
 * :mod:`phi_ineq.convexity` -- phi kernels and the convexity grid checker
-* :mod:`phi_ineq.coefquad` -- the coefficient integrals A1-A3, B and M
+* :mod:`phi_ineq.coefquad` -- the coefficient integrals A1-A3 and B
 * :mod:`phi_ineq.bounds` -- the S functional, its integral identity, the
   printed closed forms and the two theorem bounds
 * :mod:`phi_ineq.verify` -- point checks, sweeps, identity battery

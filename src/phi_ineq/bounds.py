@@ -41,7 +41,7 @@ from .coefquad import coef_integral, kink, kink_splits
 from .convexity import KIND_CONSTANT, KIND_MT
 from .errors import DomainError, check_ranges
 from .fracint import Interval, rl_left, rl_right
-from .quadrature import QUAD_TOL, QuadratureSpec, integrate
+from .quadrature import QUAD_TOL, integrate
 from .specfun import gamma, gauss_2f1, incomplete_beta
 
 PRINTED_NAMES = ("A2C", "A3C", "A4", "A5", "B_closed", "C1", "C2")
@@ -109,8 +109,7 @@ def identity_rhs(fn, params, *, quad_tol=QUAD_TOL):
     a, b = params.a, params.b
     x, lam, alpha = params.x, params.lam, params.alpha
     w = b - a
-    spec = QuadratureSpec.for_quad_tol(quad_tol, split_points=kink_splits(alpha, lam),
-                                       left_exponent=alpha + 1.0)
+    splits = kink_splits(alpha, lam)
     f2 = fn.f2
     total = 0.0
     for end, weight in ((a, (x - a) ** (alpha + 2.0) / w), (b, (b - x) ** (alpha + 2.0) / w)):
@@ -118,7 +117,7 @@ def identity_rhs(fn, params, *, quad_tol=QUAD_TOL):
             continue
         res = integrate(
             lambda t: t * (lam - t ** alpha) * f2(t * x + (1.0 - t) * end),
-            0.0, 1.0, spec,
+            0.0, 1.0, quad_tol=quad_tol, split_points=splits, left_exponent=alpha + 1.0,
         )
         total += weight * res.value
     return total

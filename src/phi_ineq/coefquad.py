@@ -18,8 +18,7 @@ M = int_0^1 t*phi(t) dt from closed forms instead; the
 discrepancy ledger (which also asks for B on [0, m] and [m, 1], the
 C1/C2 split at the kink m), the selftest and the tests ask for every
 family here.  Each family is handed to
-:func:`phi_ineq.quadrature.integrate` under the spec of ``quad_tol``
-(:meth:`~phi_ineq.quadrature.QuadratureSpec.for_quad_tol`), with the kink
+:func:`phi_ineq.quadrature.integrate` at the given ``quad_tol``, with the kink
 of ``|base|`` at ``lam**(1/alpha)`` (:func:`kink`) as a split point and
 the exponent of the integrand's leading non-integer power declared at
 each end, so the adaptive loop never has to discover either.  The
@@ -65,7 +64,7 @@ from functools import lru_cache
 
 from .convexity import KIND_CONSTANT, KIND_MT, phi_function
 from .errors import DomainError, check_ranges
-from .quadrature import QUAD_TOL, QuadratureSpec, integrate
+from .quadrature import QUAD_TOL, integrate
 
 FAMILIES = ("A1", "A2", "A3", "B")
 
@@ -150,10 +149,8 @@ def _cached(family, alpha, lam, kernel, p, lo, hi, quad_tol):
         return (_cached(family, alpha, lam, kernel, p, lo, m, quad_tol)
                 + _cached(family, alpha, lam, kernel, p, m, hi, quad_tol))
     left_e, right_e = _end_exponents(family, alpha, lam, kernel, p, lo, hi)
-    spec = QuadratureSpec.for_quad_tol(
-        quad_tol, split_points=splits, left_exponent=left_e, right_exponent=right_e,
-    )
-    return integrate(_integrand(family, alpha, lam, kernel, p), lo, hi, spec).value
+    return integrate(_integrand(family, alpha, lam, kernel, p), lo, hi, quad_tol=quad_tol,
+                     split_points=splits, left_exponent=left_e, right_exponent=right_e).value
 
 
 def coef_integral(family, alpha, lam, kernel=None, *, p=1.0, lo=0.0, hi=1.0, quad_tol=QUAD_TOL):

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, check_ranges
-from .quadrature import QUAD_TOL, QuadratureSpec, integrate
+from .quadrature import QUAD_TOL, integrate
 from .specfun import gamma
 
 
@@ -53,8 +53,8 @@ def _kernel_weighted(integrand, length, alpha, quad_tol):
     cancellation recovering the distance), which keeps strongly singular
     orders (alpha well below 1) accurate.
     """
-    spec = QuadratureSpec.for_quad_tol(quad_tol, left_exponent=alpha - 1.0)
-    return integrate(integrand, 0.0, length, spec).value / gamma(alpha)
+    res = integrate(integrand, 0.0, length, quad_tol=quad_tol, left_exponent=alpha - 1.0)
+    return res.value / gamma(alpha)
 
 
 def rl_left(f, a, alpha, x, *, quad_tol=QUAD_TOL):

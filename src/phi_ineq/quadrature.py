@@ -31,7 +31,7 @@ Two features matter for the integrands in this package:
     The end then behaves like ``u**(3e + 2)``: still not smooth, but
     about 3e + 2 of its derivatives stay bounded instead of about e, so
     GK15 stops bisecting towards it.  3 is the measured best: on the points-scatter benchmark
-    workload (seed 7) kappa = 2, 3 and 4 take 34,736, 33,236 and 33,706
+    workload (seed 7) kappa = 2, 3 and 4 take 26,133, 24,793 and 25,225
     panels.  Above e ~ 4 a plain end is already cheap and grading costs a
     few panels more (``t**5.25`` takes 3 panels plain, 7 graded); not
     grading there would save under 2% of that workload's evaluations,
@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .errors import DomainError, PhiIneqError, ToleranceNotMet
+from .errors import DomainError, PhiIneqError, ToleranceNotMet, check_ranges
 
 # 15-point Kronrod abscissae (positive half; XGK[7] = 0 is the centre) and
 # weights, with the embedded 7-point Gauss weights.  Values are the standard
@@ -82,49 +82,8 @@ _EPS = 2.220446049250313e-16
 _ROUNDING_FLOOR = 50.0 * _EPS
 # The most bisections one integral may take before ToleranceNotMet.
 MAX_SUBDIVISIONS = 2000
-# The default quad_tol of every function and of --quad-tol (see for_quad_tol).
+# The default quad_tol of every function and of --quad-tol.
 QUAD_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances, by default those of ``for_quad_tol(QUAD_TOL)``, and
-    integrand structure hints.
-
-    ``split_points`` are panel boundaries strictly inside the interval.
-    ``left_exponent`` and ``right_exponent`` declare the integrand's
-    leading non-integer power ``(t - lo)**e`` and ``(hi - t)**e`` at each
-    end.  An integer e (the default 0.0) declares a smooth end; e in
-    (-1, 0) is removed by ``t = lo + u**(1/(1+e))``; a positive
-    non-integer e is graded by ``t = lo + u**3`` (see the module
-    docstring).  Exponents at or below -1 are not integrable and are
-    rejected.
-    """
-
-    abs_tol: float = 0.1 * QUAD_TOL
-    rel_tol: float = 10.0 * QUAD_TOL
-    split_points: tuple[float, ...] = ()
-    left_exponent: float = 0.0
-    right_exponent: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 < self.abs_tol < math.inf) or not (0.0 < self.rel_tol < math.inf):
-            raise DomainError("abs_tol and rel_tol must be positive and finite")
-        for name in ("left_exponent", "right_exponent"):
-            e = float(getattr(self, name))
-            if not (math.isfinite(e) and e > -1.0):
-                raise DomainError("endpoint exponents must be finite and exceed -1 "
-                                  "(integrability)")
-            object.__setattr__(self, name, e)
-        object.__setattr__(self, "split_points", tuple(float(p) for p in self.split_points))
-
-    @classmethod
-    def for_quad_tol(cls, quad_tol, **hints):
-        """The spec of one ``--quad-tol`` value: an absolute tolerance of
-        0.1x and a relative tolerance of 10x ``quad_tol``, with the given
-        structure hints.  Every integral that a ``quad_tol`` controls is
-        built here."""
-        return cls(abs_tol=0.1 * quad_tol, rel_tol=10.0 * quad_tol, **hints)
 
 
 @dataclass(frozen=True)
@@ -137,23 +96,26 @@ class QuadResult:
 def _kappa(exponent):
     """The substitution power for an end declared ``(t - end)**exponent``:
     None for an integer (smooth) exponent, 1/(1+exponent) below 0 and the
-    graded 3 above."""
-    if exponent.is_integer():
+    graded 3 above.  An exponent at or below -1 is not integrable."""
+    e = float(exponent)
+    if not (math.isfinite(e) and e > -1.0):
+        raise DomainError("endpoint exponents must be finite and exceed -1 (integrability)")
+    if e.is_integer():
         return None
-    return 1.0 / (1.0 + exponent) if exponent < 0.0 else 3.0
+    return 1.0 / (1.0 + e) if e < 0.0 else 3.0
 
 
-def _panels(f, lo, hi, spec):
+def _panels(f, lo, hi, split_points, left_exponent, right_exponent):
     """The initial panels of [lo, hi] as (g, u_lo, u_hi) triples: [lo, hi]
     is split at the split points, and the panel at a transformed end
     integrates g(u) = f(lo + u**kappa) * kappa * u**(kappa - 1) (or its
     mirror at hi) over u in [0, width**(1/kappa)]."""
-    splits = sorted(set(spec.split_points))
+    k_lo = _kappa(left_exponent)
+    k_hi = _kappa(right_exponent)
+    splits = sorted(set(map(float, split_points)))
     for p in splits:
         if not (lo < p < hi):
             raise DomainError(f"split point {p} not strictly inside ({lo}, {hi})")
-    k_lo = _kappa(spec.left_exponent)
-    k_hi = _kappa(spec.right_exponent)
     bounds = [lo] + splits + [hi]
     if k_lo and k_hi and len(bounds) == 2:
         bounds.insert(1, 0.5 * (lo + hi))
@@ -258,8 +220,19 @@ def _gk15(g, a, b):
     return value, err, resabs
 
 
-def integrate(f, lo, hi, spec=None):
-    """Integrate ``f`` over ``[lo, hi]`` under the given spec.
+def integrate(f, lo, hi, *, quad_tol=QUAD_TOL, split_points=(), left_exponent=0.0,
+              right_exponent=0.0):
+    """Integrate ``f`` over ``[lo, hi]`` until the error estimate is within
+    an absolute tolerance of 0.1 * quad_tol or a relative one of
+    10 * quad_tol, whichever is looser.
+
+    ``split_points`` are panel boundaries strictly inside the interval.
+    ``left_exponent`` and ``right_exponent`` declare the integrand's
+    leading non-integer power ``(t - lo)**e`` and ``(hi - t)**e`` at each
+    end.  An integer e (the default 0.0) declares a smooth end; e in
+    (-1, 0) is removed by ``t = lo + u**(1/(1+e))``; a positive
+    non-integer e is graded by ``t = lo + u**3`` (see the module
+    docstring).  Exponents at or below -1 are rejected.
 
     Raises ToleranceNotMet when more than ``MAX_SUBDIVISIONS`` bisections
     would be needed or when the tolerance lies below the rounding floor
@@ -268,8 +241,7 @@ def integrate(f, lo, hi, spec=None):
     PhiIneqError when ``f`` produces nan/inf at a sample point; and
     OverflowError when a panel's integral exceeds the double range.
     """
-    if spec is None:
-        spec = QuadratureSpec()
+    check_ranges(("quad_tol", quad_tol))
     lo = float(lo)
     hi = float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
@@ -285,7 +257,7 @@ def integrate(f, lo, hi, spec=None):
     masses = []
     heap = []
     mass = 0.0
-    for g, u_lo, u_hi in _panels(f, lo, hi, spec):
+    for g, u_lo, u_hi in _panels(f, lo, hi, split_points, left_exponent, right_exponent):
         value, err, resabs = _gk15(g, u_lo, u_hi)
         heap.append((-err, len(segs), len(segs)))
         segs.append((g, u_lo, u_hi))
@@ -296,8 +268,8 @@ def integrate(f, lo, hi, spec=None):
     heapify(heap)
     seq = len(segs)
 
-    abs_tol = spec.abs_tol
-    rel_tol = spec.rel_tol
+    abs_tol = 0.1 * quad_tol
+    rel_tol = 10.0 * quad_tol
     n_bisect = 0
     while True:
         total = math.fsum(values)

@@ -7,7 +7,7 @@ with this package's errors for x <= 0 and on overflow.  The incomplete
 Beta with a *nonpositive* second parameter -- which the closed-form
 coefficient formulas request -- is defined only for an upper limit
 strictly below 1 and is computed by adaptive quadrature at the default
-tolerances of :class:`~phi_ineq.quadrature.QuadratureSpec`; the complete
+``quad_tol`` of :func:`~phi_ineq.quadrature.integrate`; the complete
 case diverges and raises :class:`DomainError`, as does 2F1 at z = 1 with
 c - a - b <= 0.  Every function returns a float.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, ToleranceNotMet
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import integrate
 
 
 def gamma(x):
@@ -107,7 +107,7 @@ def incomplete_beta(upper, x, y):
 
     upper must lie in (0, 1] and x must be positive.  y may be any real;
     for y <= 0 the integrand is non-integrable at t = 1, so upper = 1 is
-    rejected and upper < 1 is integrated at ``QuadratureSpec()``'s tolerances.
+    rejected and upper < 1 is integrated at the default ``quad_tol``.
     """
     upper, x, y = float(upper), float(x), float(y)
     if not 0.0 < upper <= 1.0:
@@ -117,9 +117,8 @@ def incomplete_beta(upper, x, y):
     if y <= 0.0:
         if upper == 1.0:
             raise DomainError(f"complete Beta with nonpositive second parameter y={y} diverges")
-        spec = QuadratureSpec(left_exponent=x - 1.0 if x < 1.0 else 0.0)
-        return integrate(lambda t: t ** (x - 1.0) * (1.0 - t) ** (y - 1.0),
-                         0.0, upper, spec).value
+        return integrate(lambda t: t ** (x - 1.0) * (1.0 - t) ** (y - 1.0), 0.0, upper,
+                         left_exponent=x - 1.0 if x < 1.0 else 0.0).value
     if upper == 1.0:
         return beta_fn(x, y)
     return beta_fn(x, y) * _regularized_beta(x, y, upper)

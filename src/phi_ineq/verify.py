@@ -41,7 +41,7 @@ from .bounds import (
 from .convexity import PhiKernel, check_phi_convex
 from .errors import DomainError, PhiIneqError, check_ranges, range_violations
 from .functions import registry
-from .quadrature import QUAD_TOL, QuadratureSpec, integrate
+from .quadrature import QUAD_TOL, integrate
 
 STATUS_PASS = "PASS"
 STATUS_FAIL = "FAIL"
@@ -161,7 +161,7 @@ def hermite_hadamard_check(fn, *, quad_tol=QUAD_TOL):
         check_ranges(("quad_tol", quad_tol))
         witness = check_phi_convex(fn.f, PhiKernel.constant(), fn.domain)
         mid = float(fn.f(0.5 * a + 0.5 * b))
-        res = integrate(fn.f, a, b, QuadratureSpec.for_quad_tol(quad_tol))
+        res = integrate(fn.f, a, b, quad_tol=quad_tol)
         mean = res.value / (b - a)
         end_avg = float(0.5 * (fn.f(a) + fn.f(b)))
         margin = min(mean - mid, end_avg - mean)

@@ -105,7 +105,7 @@ def test_order_zero_rejected():
 
 @pytest.mark.parametrize("alpha", [math.inf, math.nan])
 def test_non_finite_order_rejected(alpha):
-    # inf reached QuadratureSpec's "endpoint exponents must be finite"
+    # inf reached the quadrature engine's "endpoint exponents must be finite"
     message = f"^fractional order must be positive and finite, got {alpha}$"
     with pytest.raises(DomainError, match=message):
         rl_left(lambda t: t, 0.0, alpha, 1.0)

@@ -1,13 +1,14 @@
 """Adaptive quadrature engine tests: rule exactness, golden integrals,
 declared singularities, kink splitting and failure modes."""
 
+import inspect
 import math
 import random
 
 import numpy as np
 import pytest
 
-from phi_ineq import bounds, coefquad, fracint, quadrature
+from phi_ineq import bounds, coefquad, fracint, quadrature, specfun, verify
 from phi_ineq.convexity import PhiKernel
 from phi_ineq.errors import DomainError, PhiIneqError, ToleranceNotMet
 from phi_ineq.functions import registry
@@ -16,7 +17,6 @@ from phi_ineq.quadrature import (
     WG,
     WGK,
     XGK,
-    QuadratureSpec,
     QuadResult,
     _panels,
     integrate,
@@ -33,8 +33,7 @@ def test_gauss_kronrod_polynomial_exactness():
     # Kronrod rule to degree 22; both catch any wrong table constant
     for k in range(0, 23):
         exact = 1.0 / (k + 1.0)
-        res = integrate(lambda t, k=k: t ** k, 0.0, 1.0,
-                        QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))
+        res = integrate(lambda t, k=k: t ** k, 0.0, 1.0, quad_tol=1e-13)
         assert res.value == pytest.approx(exact, abs=2e-15)
         if k <= 13:
             # the embedded Gauss rule is also exact, so the error estimate
@@ -49,28 +48,25 @@ def test_simple_polynomial():
 
 
 def test_left_singularity_power_rule():
-    spec = QuadratureSpec(left_exponent=-0.5)
-    res = integrate(lambda t: t ** -0.5, 0.0, 1.0, spec)
+    res = integrate(lambda t: t ** -0.5, 0.0, 1.0, left_exponent=-0.5)
     assert res.value == pytest.approx(2.0, rel=1e-12)
 
 
 def test_declared_singularity_consistency():
     for alpha in (0.1, 0.5, 0.9):
-        spec = QuadratureSpec(left_exponent=alpha - 1.0)
-        res = integrate(lambda t, a=alpha: t ** (a - 1.0), 0.0, 1.0, spec)
+        res = integrate(lambda t, a=alpha: t ** (a - 1.0), 0.0, 1.0, left_exponent=alpha - 1.0)
         assert res.value == pytest.approx(1.0 / alpha, rel=1e-10)
 
 
 def test_both_ends_singular():
     # Beta(1/2, 1/2) integrand: pi
-    spec = QuadratureSpec(left_exponent=-0.5, right_exponent=-0.5)
-    res = integrate(lambda t: t ** -0.5 * (1.0 - t) ** -0.5, 0.0, 1.0, spec)
+    res = integrate(lambda t: t ** -0.5 * (1.0 - t) ** -0.5, 0.0, 1.0,
+                    left_exponent=-0.5, right_exponent=-0.5)
     assert res.value == pytest.approx(math.pi, rel=1e-11)
 
 
 def test_kinked_abs_split():
-    res = integrate(lambda t: abs(t * (0.5 - t)), 0.0, 1.0,
-                    QuadratureSpec(split_points=(0.5,)))
+    res = integrate(lambda t: abs(t * (0.5 - t)), 0.0, 1.0, split_points=(0.5,))
     assert res.value == pytest.approx(0.125, abs=1e-13)
 
 
@@ -102,14 +98,13 @@ GOLDEN_SUITE = (
 def test_error_monotonicity_under_tolerance_halving():
     for f, lo, hi, extra, exact in GOLDEN_SUITE:
         prev = None
-        abs_tol = 1e-6
-        while abs_tol >= 1e-12:
-            spec = QuadratureSpec(abs_tol=abs_tol, rel_tol=1e-13, **extra)
-            err = abs(integrate(f, lo, hi, spec).value - exact)
+        quad_tol = 1e-6
+        while quad_tol >= 1e-12:
+            err = abs(integrate(f, lo, hi, quad_tol=quad_tol, **extra).value - exact)
             if prev is not None:
                 assert err <= prev + 5e-16
             prev = err
-            abs_tol *= 0.5
+            quad_tol *= 0.5
 
 
 def test_subdivision_budget(monkeypatch):
@@ -135,7 +130,7 @@ def test_tolerance_below_rounding_floor_stops_at_once():
         return t * t
 
     with pytest.raises(ToleranceNotMet, match="rounding floor"):
-        integrate(f, 0.0, 1.0, QuadratureSpec(abs_tol=1e-31, rel_tol=1e-31))
+        integrate(f, 0.0, 1.0, quad_tol=1e-30)
     assert evals == 15
 
 
@@ -158,19 +153,19 @@ def test_cancelling_integrand_stops_at_once():
 
 
 def test_zero_integrand_meets_any_tolerance():
-    res = integrate(lambda t: 0.0, 0.0, 1.0, QuadratureSpec(abs_tol=1e-31, rel_tol=1e-31))
+    res = integrate(lambda t: 0.0, 0.0, 1.0, quad_tol=1e-300)
     assert res.value == 0.0 and res.subdivisions_used == 0
 
 
-def test_spec_for_quad_tol():
-    spec = QuadratureSpec.for_quad_tol(1e-9, split_points=(0.5,), left_exponent=-0.5)
-    assert (spec.abs_tol, spec.rel_tol) == (0.1 * 1e-9, 10.0 * 1e-9)
-    assert spec.split_points == (0.5,) and spec.left_exponent == -0.5
-
-
-def test_default_spec_is_that_of_the_default_quad_tol():
-    # the defaults were 1e-12 and 1e-10, a third spelling of the default
-    assert QuadratureSpec() == QuadratureSpec.for_quad_tol(QUAD_TOL)
+@pytest.mark.parametrize("quad_tol", [None, 1e-9, 1e-30])
+def test_quad_tol_sets_an_absolute_and_a_relative_tolerance(quad_tol):
+    # quad_tol stands for an absolute tolerance of 0.1x and a relative one
+    # of 10x, and no quad_tol means QUAD_TOL; the floor exit names both
+    kwargs = {} if quad_tol is None else {"quad_tol": quad_tol}
+    want = QUAD_TOL if quad_tol is None else quad_tol
+    message = f"^tolerance \\(abs {0.1 * want:.1e}, rel {10.0 * want:.1e}\\) lies below"
+    with pytest.raises(ToleranceNotMet, match=message):
+        integrate(lambda t: 1e6 * (t - 0.5) + 1e-3, 0.0, 1.0, **kwargs)
 
 
 def test_non_finite_sample():
@@ -178,63 +173,62 @@ def test_non_finite_sample():
         integrate(lambda t: 1.0 / (t - 0.5) if t != 0.5 else float("inf"), 0.49999, 0.50001)
 
 
+QUAD_TOL_MESSAGE = "^quad_tol must be positive and finite, got {}$"
+
+
 @pytest.mark.parametrize("tol", [math.inf, math.nan])
 def test_non_finite_tolerances_are_rejected(tol):
-    # an infinite tolerance stopped every integral after its first panel
-    for name in ("abs_tol", "rel_tol"):
-        with pytest.raises(DomainError, match="^abs_tol and rel_tol must be positive and finite$"):
-            QuadratureSpec(**{name: tol})
-    with pytest.raises(DomainError):
-        QuadratureSpec.for_quad_tol(tol)
+    # an infinite tolerance stopped every integral after its first panel;
+    # the message is that of errors.RANGES
+    with pytest.raises(DomainError, match=QUAD_TOL_MESSAGE.format(tol)):
+        integrate(lambda t: t, 0.0, 1.0, quad_tol=tol)
 
 
-def test_invalid_specs():
-    with pytest.raises(DomainError):
-        QuadratureSpec(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureSpec(left_exponent=-1.0)
-    with pytest.raises(DomainError):
+def test_invalid_arguments():
+    for tol in (0.0, -1.0):
+        with pytest.raises(DomainError, match=QUAD_TOL_MESSAGE.format(tol)):
+            integrate(lambda t: t, 0.0, 1.0, quad_tol=tol)
+    with pytest.raises(DomainError, match="exceed -1"):
+        integrate(lambda t: t, 0.0, 1.0, left_exponent=-1.0)
+    with pytest.raises(DomainError, match="invalid integration interval"):
         integrate(lambda t: t, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        integrate(lambda t: t, 0.0, 1.0, QuadratureSpec(split_points=(2.0,)))
+    with pytest.raises(DomainError, match="not strictly inside"):
+        integrate(lambda t: t, 0.0, 1.0, split_points=(2.0,))
 
 
 def test_panels_layout():
     f = lambda t: t
     # exponent -0.5 gives kappa = 2: g(u) = f(lo + u**2) * 2u on [0, width**0.5]
-    (g0, lo0, hi0), (g1, lo1, hi1) = _panels(f, 0.0, 1.0, QuadratureSpec(
-        split_points=(0.25,), left_exponent=-0.5))
+    (g0, lo0, hi0), (g1, lo1, hi1) = _panels(f, 0.0, 1.0, (0.25,), -0.5, 0.0)
     assert g0 is not f and (lo0, hi0) == (0.0, 0.5) and g0(0.5) == 0.25 * 2.0 * 0.5
     assert g1 is f and (lo1, hi1) == (0.25, 1.0)
     # both ends singular with no split: a midpoint split is inserted
-    (g0, lo0, hi0), (g1, lo1, hi1) = _panels(f, 0.0, 1.0, QuadratureSpec(
-        left_exponent=-0.5, right_exponent=-0.5))
+    (g0, lo0, hi0), (g1, lo1, hi1) = _panels(f, 0.0, 1.0, (), -0.5, -0.5)
     assert (lo0, hi0) == (lo1, hi1) == (0.0, 0.5 ** 0.5)
     assert g0(0.5) == 0.25 * 2.0 * 0.5 and g1(0.5) == 0.75 * 2.0 * 0.5
     # no structure: the one panel is f itself
-    assert _panels(f, 0.0, 1.0, QuadratureSpec()) == [(f, 0.0, 1.0)]
+    assert _panels(f, 0.0, 1.0, (), 0.0, 0.0) == [(f, 0.0, 1.0)]
 
 
 def test_graded_end_layout():
     f = lambda t: t
     # a positive non-integer exponent gives kappa = 3: g(u) = f(lo + u**3) * 3u**2
     # on [0, width**(1/3)]
-    ((g, lo, hi),) = _panels(f, 1.0, 9.0, QuadratureSpec(left_exponent=1.5))
+    ((g, lo, hi),) = _panels(f, 1.0, 9.0, (), 1.5, 0.0)
     assert (lo, hi) == (0.0, 2.0) and g(0.5) == (1.0 + 0.5 ** 3.0) * 3.0 * 0.5 ** 2.0
-    ((g, lo, hi),) = _panels(f, 1.0, 9.0, QuadratureSpec(right_exponent=0.25))
+    ((g, lo, hi),) = _panels(f, 1.0, 9.0, (), 0.0, 0.25)
     assert (lo, hi) == (0.0, 2.0) and g(0.5) == (9.0 - 0.5 ** 3.0) * 3.0 * 0.5 ** 2.0
     # an integer exponent declares a smooth end
     for e in (1.0, 2.0, 7.0):
-        assert _panels(f, 0.0, 1.0, QuadratureSpec(left_exponent=e, right_exponent=e)) == [
-            (f, 0.0, 1.0)]
+        assert _panels(f, 0.0, 1.0, (), e, e) == [(f, 0.0, 1.0)]
 
 
 def test_non_finite_exponent_rejected():
     for e in (math.nan, math.inf):
-        with pytest.raises(DomainError):
-            QuadratureSpec(left_exponent=e)
-        with pytest.raises(DomainError):
-            QuadratureSpec(right_exponent=e)
+        with pytest.raises(DomainError, match="^endpoint exponents must be finite and exceed -1"):
+            integrate(lambda t: t, 0.0, 1.0, left_exponent=e)
+        with pytest.raises(DomainError, match="^endpoint exponents must be finite and exceed -1"):
+            integrate(lambda t: t, 0.0, 1.0, right_exponent=e)
 
 
 @pytest.mark.parametrize("e", (0.1, 0.5, 1.5, 2.5))
@@ -242,10 +236,8 @@ def test_graded_end_is_accurate_and_cheaper(e):
     # int_0^1 t**e * (1 + t) dt, with the end at 0 declared and not
     f = lambda t: t ** e * (1.0 + t)
     want = 1.0 / (e + 1.0) + 1.0 / (e + 2.0)
-    spec = QuadratureSpec.for_quad_tol(1e-12)
-    graded = QuadratureSpec.for_quad_tol(1e-12, left_exponent=e)
-    plain = integrate(f, 0.0, 1.0, spec)
-    res = integrate(f, 0.0, 1.0, graded)
+    plain = integrate(f, 0.0, 1.0, quad_tol=1e-12)
+    res = integrate(f, 0.0, 1.0, quad_tol=1e-12, left_exponent=e)
     assert res.value == pytest.approx(want, rel=1e-12, abs=0.0)
     assert res.subdivisions_used < plain.subdivisions_used
 
@@ -275,16 +267,54 @@ EVAL_BUDGETS = [
 def test_graded_ends_bound_the_evaluation_count(name, module, call, count, monkeypatch):
     evals = [0]
 
-    def counting_integrate(f, lo, hi, spec=None):
+    def counting_integrate(f, lo, hi, **kwargs):
         def counted(t):
             evals[0] += 1
             return f(t)
-        return integrate(counted, lo, hi, spec)
+        return integrate(counted, lo, hi, **kwargs)
 
     monkeypatch.setattr(module, "integrate", counting_integrate)
     coefquad._cached.cache_clear()
     call()
     assert 0 < evals[0] <= 1.25 * count
+
+
+_EXP = registry()["exp(t)"]
+_PARAMS = bounds.EvalParams(fracint.Interval(0.0, 1.0), x=0.3, lam=0.4, alpha=1.5)
+
+# (case, module whose integrate is recorded, call, the quad_tol it must
+# pass); 1e-9 is not the default, so a quad_tol dropped on its way shows
+QUAD_TOL_ROUTES = [
+    ("identity_rhs", bounds, lambda: bounds.identity_rhs(_EXP, _PARAMS, quad_tol=1e-9), 1e-9),
+    ("coef_integral B", coefquad,
+     lambda: coefquad.coef_integral("B", 2.5, 0.3, p=1.5, quad_tol=1e-9), 1e-9),
+    ("coef_integral A2 MT", coefquad,
+     lambda: coefquad.coef_integral("A2", 1.5, 0.3, PhiKernel.mt(), quad_tol=1e-9), 1e-9),
+    ("rl_left", fracint, lambda: fracint.rl_left(math.exp, 0.0, 1.5, 1.0, quad_tol=1e-9), 1e-9),
+    ("rl_right", fracint, lambda: fracint.rl_right(math.exp, 1.0, 1.5, 0.0, quad_tol=1e-9),
+     1e-9),
+    ("hermite_hadamard_check", verify,
+     lambda: verify.hermite_hadamard_check(_EXP, quad_tol=1e-9), 1e-9),
+    ("incomplete_beta", specfun, lambda: specfun.incomplete_beta(0.5, 2.0, -0.5), QUAD_TOL),
+]
+
+
+@pytest.mark.parametrize("name, module, call, quad_tol", QUAD_TOL_ROUTES,
+                         ids=[case[0] for case in QUAD_TOL_ROUTES])
+def test_every_quad_tol_reaches_its_integral(name, module, call, quad_tol, monkeypatch):
+    passed = []
+    signature = inspect.signature(integrate)
+
+    def recording_integrate(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        passed.append(bound.arguments["quad_tol"])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(module, "integrate", recording_integrate)
+    coefquad._cached.cache_clear()
+    call()
+    assert passed and set(passed) == {quad_tol}
 
 
 def test_non_finite_sample_names_the_first_bad_node():
@@ -317,23 +347,26 @@ def test_overflowing_integral_raises(f):
 
 
 def test_determinism():
-    spec = QuadratureSpec(split_points=(0.3,), abs_tol=1e-13)
-    r1 = integrate(lambda t: abs(t - 0.3) ** 1.5 * math.exp(t), 0.0, 1.0, spec)
-    r2 = integrate(lambda t: abs(t - 0.3) ** 1.5 * math.exp(t), 0.0, 1.0, spec)
+    r1 = integrate(lambda t: abs(t - 0.3) ** 1.5 * math.exp(t), 0.0, 1.0, split_points=(0.3,))
+    r2 = integrate(lambda t: abs(t - 0.3) ** 1.5 * math.exp(t), 0.0, 1.0, split_points=(0.3,))
     assert r1 == r2
 
 
-def _reference_integrate(f, lo, hi, spec, ties):
+def _reference_integrate(f, lo, hi, ties, quad_tol=QUAD_TOL, split_points=(),
+                         left_exponent=0.0, right_exponent=0.0):
     """The adaptive loop as a list scanned with max(): the worst panel by
     error, ties to the oldest.  ``ties`` counts the picks among equal
     errors.  integrate must bisect the same panels and return the same
     result."""
     lo = float(lo)
     hi = float(hi)
+    abs_tol = 0.1 * quad_tol
+    rel_tol = 10.0 * quad_tol
     panels = []
     seq = 0
     mass = 0.0
-    for g, u_lo, u_hi in quadrature._panels(f, lo, hi, spec):
+    for g, u_lo, u_hi in quadrature._panels(f, lo, hi, split_points, left_exponent,
+                                            right_exponent):
         value, err, resabs = quadrature._gk15(g, u_lo, u_hi)
         panels.append([err, seq, g, u_lo, u_hi, value, resabs])
         mass += resabs
@@ -342,12 +375,12 @@ def _reference_integrate(f, lo, hi, spec, ties):
     while True:
         total = math.fsum(p[5] for p in panels)
         total_err = math.fsum(p[0] for p in panels)
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        tol = max(abs_tol, rel_tol * abs(total))
         if total_err <= tol:
             return QuadResult(total, total_err, n_bisect)
         if tol < quadrature._ROUNDING_FLOOR * mass:
             raise ToleranceNotMet(
-                f"tolerance (abs {spec.abs_tol:.1e}, rel {spec.rel_tol:.1e}) lies below "
+                f"tolerance (abs {abs_tol:.1e}, rel {rel_tol:.1e}) lies below "
                 f"the rounding floor 50*eps*int|f| (error estimate {total_err:.3e}, "
                 f"value {total:.6e})"
             )
@@ -375,9 +408,11 @@ def _rl_integrand(alpha):
     return lambda tau: tau ** (alpha - 1.0) * math.exp(0.8 - tau)
 
 
-_FLOOR_TOL = dict(abs_tol=1e-300, rel_tol=1.05 * quadrature._ROUNDING_FLOOR)
+# a relative tolerance of 1.05x the rounding floor, with an absolute one of
+# a hundredth of that, which these integrals of about 1 never reach
+_FLOOR_TOL = dict(quad_tol=0.105 * quadrature._ROUNDING_FLOOR)
 
-# (name, f, lo, hi, spec keywords, subdivision budget or None)
+# (name, f, lo, hi, integrate keywords, subdivision budget or None)
 DIFFERENTIAL_BATTERY = [
     ("smooth", lambda t: math.exp(-t) * math.cos(5.0 * t), 0.0, 3.0, {}, None),
     ("oscillating", lambda t: t * math.sin(40.0 * t), 0.0, 3.0, {}, None),
@@ -416,7 +451,6 @@ def _outcome(run):
 @pytest.mark.parametrize("name, f, lo, hi, hints, budget", DIFFERENTIAL_BATTERY,
                          ids=[case[0] for case in DIFFERENTIAL_BATTERY])
 def test_integrate_matches_the_reference_loop(name, f, lo, hi, hints, budget, monkeypatch):
-    spec = QuadratureSpec(**hints)
     if budget is not None:
         monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", budget)
     gk15 = quadrature._gk15
@@ -431,10 +465,10 @@ def test_integrate_matches_the_reference_loop(name, f, lo, hi, hints, budget, mo
     monkeypatch.setattr(quadrature, "_gk15", recorded)
     ties = [0]
     with np.errstate(all="ignore"):
-        expected = _outcome(lambda: _reference_integrate(f, lo, hi, spec, ties))
+        expected = _outcome(lambda: _reference_integrate(f, lo, hi, ties, **hints))
         expected_calls = calls[:]
         calls.clear()
-        got = _outcome(lambda: integrate(f, lo, hi, spec))
+        got = _outcome(lambda: integrate(f, lo, hi, **hints))
     assert got == expected
     assert calls == expected_calls
     if name.startswith("linear"):

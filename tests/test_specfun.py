@@ -6,7 +6,7 @@ import math
 import pytest
 
 from phi_ineq.errors import DomainError
-from phi_ineq.quadrature import QuadratureSpec, integrate
+from phi_ineq.quadrature import integrate
 from phi_ineq.specfun import (
     beta_fn,
     gamma,
@@ -107,10 +107,8 @@ def test_incomplete_beta_trivial_and_derived():
 def test_incomplete_beta_against_quadrature():
     for upper in (0.2, 0.65, 0.9):
         for x, y in ((1.5, 2.5), (0.7, 0.4), (3.0, 1.0)):
-            spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12,
-                                  left_exponent=x - 1.0 if x < 1.0 else 0.0)
-            ref = integrate(lambda t: t ** (x - 1.0) * (1.0 - t) ** (y - 1.0),
-                            0.0, upper, spec).value
+            ref = integrate(lambda t: t ** (x - 1.0) * (1.0 - t) ** (y - 1.0), 0.0, upper,
+                            quad_tol=1e-13, left_exponent=x - 1.0 if x < 1.0 else 0.0).value
             assert incomplete_beta(upper, x, y) == pytest.approx(ref, rel=1e-10)
 
 
